@@ -119,13 +119,16 @@ def quadratic_data(instance: ValidatedInstance) -> QuadraticData:
 
 def r2_roots(data: QuadraticData, marginals: Marginals) -> tuple[float, float]:
     """Both branches of the quadratic for the second row factor (gauge c2 = 1)."""
-    if data.det == 0:
-        raise NearSingular("second-row-factor quadratic degenerates at det = 0")
+    denom = 2.0 * data.lower_right * data.det
+    if denom == 0:
+        # det = 0, or a nonzero det whose product with a22 underflows.
+        raise NearSingular(
+            f"second-row-factor quadratic degenerates: 2 * a22 * det = 0 (det {data.det!r})"
+        )
     r2t = float(marginals.row_targets[1])
     c1t, c2t = (float(v) for v in marginals.col_targets)
     total = data.alpha * (c2t + r2t) + data.beta * (c1t - r2t)
     root = math.sqrt(data.delta)
-    denom = 2.0 * data.lower_right * data.det
     return (total - root) / denom, (total + root) / denom
 
 
@@ -222,6 +225,11 @@ def closed_form_2x2(
             f"|det| = {abs(data.det)!r} <= {singularity_threshold!r} * alpha; "
             "use the singular formula"
         )
+    return _nonsingular_2x2(instance, data)
+
+
+def _nonsingular_2x2(instance: ValidatedInstance, data: QuadraticData) -> ScaledResult:
+    """The body of :func:`closed_form_2x2` once ``data`` has passed the singularity test."""
     s11, s12, s21, s22 = _entries_2x2(instance, data)
     if not (s11 > 0 and s12 > 0 and s21 > 0 and s22 > 0):
         minus, plus = r2_roots(data, instance.marginals)
@@ -297,7 +305,7 @@ def closed_form_dispatch(
         data = quadratic_data(instance)
         if abs(data.det) <= singularity_threshold * data.alpha:
             return closed_form_2x2_singular(instance.marginals, instance.consistency_tol)
-        return closed_form_2x2(instance, singularity_threshold)
+        return _nonsingular_2x2(instance, data)
     raise UnsupportedShape(
         f"no closed form for shape {instance.rows}x{instance.cols}; use the iterative solver"
     )

@@ -203,7 +203,9 @@ def apply_scaling(matrix, factors: ScalingPair) -> np.ndarray:
         raise ShapeMismatch(
             f"factors of lengths ({r.size}, {c.size}) for a matrix of shape {entries.shape}"
         )
-    return (r[:, None] * entries) * c[None, :]
+    scaled = r[:, None] * entries
+    scaled *= c[None, :]
+    return scaled
 
 
 def residuals(candidate, marginals: Marginals) -> tuple[np.ndarray, np.ndarray]:

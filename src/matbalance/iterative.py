@@ -1,25 +1,32 @@
 """Alternating row/column proportional fitting toward prescribed marginals.
 
 Each sweep rescales every row to its target sum and then every column to
-its target sum.  The internal state is the pair of accumulated scaling
-vectors; the working matrix is always rebuilt as ``r_i * a_ij * c_j``, so a
-converged result is bitwise-reproducible from its reported factors.  Row
+its target sum.  The state is the pair of scaling vectors ``(r, c)`` of the
+iterate ``S = diag(r) A diag(c)``, and a sweep is two matrix-vector
+products: ``r = R / (A c)``, then ``c = C / (A^T r)``.  Row and column sums
+of the iterate are read off those products, so no sweep builds ``S``; it is
+built once, from the final factors, by :func:`~matbalance.core.apply_scaling`,
+which makes a result bitwise-reproducible from its reported factors.  Row
 and column sums are strictly positive by construction, so the updates
 divide safely without an epsilon guard.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     MatrixBalanceError,
+    NonPositiveInput,
     ScaledResult,
     ScalingPair,
     ShapeMismatch,
     ValidatedInstance,
+    apply_scaling,
+    max_abs_residual,
 )
 
 CONVERGENCE_METRICS = ("successive_frobenius", "max_marginal_residual")
@@ -84,9 +91,31 @@ class GaugeFix:
             raise ValueError("gauge index must be >= 0")
 
 
-def _rebuild(entries: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Same evaluation order as apply_scaling: (r_i * a_ij) * c_j.
-    return (r[:, None] * entries) * c[None, :]
+# Row blocks of the Frobenius difference hold about 64k entries, so their
+# temporaries stay cache-sized at any column count.
+_FROBENIUS_BLOCK_ENTRIES = 1 << 16
+
+
+def _successive_frobenius(
+    entries: np.ndarray, r0: np.ndarray, c0: np.ndarray, r1: np.ndarray, c1: np.ndarray
+) -> float:
+    """``||S1 - S0||_F`` for ``Sk = rk_i * a_ij * ck_j``, one row block at a time.
+
+    Neither full iterate is built.  Each entry is evaluated as
+    ``(rk_i * a_ij) * ck_j``, the order of :func:`~matbalance.core.apply_scaling`,
+    so it is finite whenever the iterate is: ``rk_i * ck_j`` alone can
+    overflow or underflow where the iterate does not.  A sum of squares beyond
+    the float range reads inf, which fails any tolerance.
+    """
+    step = max(1, _FROBENIUS_BLOCK_ENTRIES // entries.shape[1])
+    squares = 0.0
+    with np.errstate(over="ignore"):
+        for lo in range(0, entries.shape[0], step):
+            block = entries[lo:lo + step]
+            diff = (r1[lo:lo + step, None] * block) * c1 - (r0[lo:lo + step, None] * block) * c0
+            flat = diff.ravel()
+            squares += float(flat @ flat)
+    return math.sqrt(squares)
 
 
 def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None = None) -> ScaledResult:
@@ -99,6 +128,8 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     Raises:
         NotConverged: the iteration budget ran out first; the partial result
             rides on the exception.
+        NonPositiveInput: a scaling factor came out zero, infinite or NaN;
+            the sweep number is in the message.
     """
     if config is None:
         config = IterationConfig()
@@ -107,51 +138,58 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     col_targets = instance.marginals.col_targets
     row_gate = config.tolerance * np.maximum(1.0, row_targets)
     col_gate = config.tolerance * np.maximum(1.0, col_targets)
+    frobenius = config.convergence_metric == "successive_frobenius"
 
     r = np.ones(instance.rows)
     c = np.ones(instance.cols)
-    current = _rebuild(entries, r, c)
+    a_c = entries @ c
     iterations = 0
     converged = False
     metric = np.inf
 
     while iterations < config.max_iterations:
         iterations += 1
-        previous = current
-        r = r * (row_targets / current.sum(axis=1))
-        mid = _rebuild(entries, r, c)
-        c = c * (col_targets / mid.sum(axis=0))
-        current = _rebuild(entries, r, c)
+        previous = r, c
+        r = row_targets / a_c
+        at_r = entries.T @ r
+        c = col_targets / at_r
+        a_c = entries @ c
+        # NaN fails every comparison, so this also catches NaN factors.
+        if not (r.min() > 0 and c.min() > 0 and r.max() < np.inf and c.max() < np.inf):
+            raise NonPositiveInput(
+                f"scaling factors left the positive float range at sweep {iterations}: "
+                "the matrix or target magnitudes exceed double precision"
+            )
 
-        row_res = current.sum(axis=1) - row_targets
-        col_res = current.sum(axis=0) - col_targets
-        if config.convergence_metric == "successive_frobenius":
-            metric = float(np.linalg.norm(current - previous))
-        else:
-            metric = max(float(np.max(np.abs(row_res))), float(np.max(np.abs(col_res))))
+        row_res = r * a_c - row_targets
+        col_res = c * at_r - col_targets
         residuals_ok = bool(
             np.all(np.abs(row_res) <= row_gate) and np.all(np.abs(col_res) <= col_gate)
         )
+        if not frobenius:
+            metric = max(float(np.max(np.abs(row_res))), float(np.max(np.abs(col_res))))
+        elif residuals_ok or iterations == config.max_iterations:
+            # Both stop conditions must hold, so the O(nm) norm is only
+            # worth computing once the O(n+m) residual test has passed.
+            metric = _successive_frobenius(entries, *previous, r, c)
         if metric < config.tolerance and residuals_ok:
             converged = True
             break
 
-    max_residual = max(
-        float(np.max(np.abs(current.sum(axis=1) - row_targets))),
-        float(np.max(np.abs(current.sum(axis=0) - col_targets))),
-    )
+    factors = ScalingPair(r, c)
+    matrix = apply_scaling(instance.matrix, factors)
     result = ScaledResult(
-        matrix=current,
-        factors=ScalingPair(r, c) if config.track_factors else None,
+        matrix=matrix,
+        factors=factors if config.track_factors else None,
         iterations=iterations,
-        max_marginal_residual=max_residual,
+        max_marginal_residual=max_abs_residual(matrix, instance.marginals),
         converged=converged,
         method="iterative",
     )
     if not converged:
         raise NotConverged(
             f"no convergence after {iterations} iterations "
-            f"(metric {metric!r}, max marginal residual {max_residual!r})",
+            f"(metric {metric!r}, max marginal residual {result.max_marginal_residual!r})",
             result=result,
         )
     return result

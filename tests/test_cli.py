@@ -175,6 +175,16 @@ class TestScaleCommand:
         assert code == EXIT_NOT_CONVERGED
         assert "convergence" in err or "iterations" in err
 
+    def test_underflowing_closed_form_exits_defect_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        tiny = (1e-150 * np.array([[1.0, 2.0], [3.0, 4.0]])).tolist()
+        path.write_text(json.dumps({"matrix": tiny, "row_sums": [1, 1], "col_sums": [1, 1]}))
+        code, out, err = run_main(capsys, ["scale", str(path)])
+        assert code == EXIT_DEFECT
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_closed_form_on_unsupported_shape_exits_2(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(

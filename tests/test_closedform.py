@@ -135,6 +135,14 @@ class TestSolveR2:
         with pytest.raises(NearSingular):
             r2_roots(quadratic_data(inst), inst.marginals)
 
+    def test_underflowing_denominator_is_typed(self):
+        # det = -2e-300 is nonzero, but 2 * a22 * det underflows to 0.
+        inst = make_instance(1e-150 * np.array([[1.0, 2.0], [3.0, 4.0]]), [1, 1], [1, 1])
+        data = quadratic_data(inst)
+        assert data.det != 0
+        with pytest.raises(NearSingular):
+            r2_roots(data, inst.marginals)
+
 
 class TestClosedForm2x2:
     def test_nathanson_golden(self):

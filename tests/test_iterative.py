@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from matbalance import (
     GaugeFix,
     IterationConfig,
     Marginals,
+    NonPositiveInput,
     NonPositiveLambda,
     NotConverged,
     PositiveMatrix,
@@ -19,7 +22,30 @@ from matbalance import (
     validate_instance,
 )
 
-from conftest import assert_within_ulps, nathanson_limit, random_instance
+from matbalance.iterative import _successive_frobenius
+
+from conftest import assert_within_ulps, nathanson_limit, random_instance, random_marginals
+
+
+_GENERIC_3X3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.0, 9.0]])
+# Rank one: balanced after one sweep, so the first norm spans the whole scale.
+_RANK_ONE_3X3 = np.outer([1.0, 2.0, 3.0], [1.0, 1.5, 2.0])
+_TARGETS_3X3 = Marginals([1.0, 2.0, 3.0], [2.5, 2.0, 1.5])
+
+EXTREME_SCALE_CASES = [
+    pytest.param(base, scale * base, _TARGETS_3X3, id=f"{name}-{scale:g}")
+    for name, base in [("generic", _GENERIC_3X3), ("rank-one", _RANK_ONE_3X3)]
+    for scale in (1e300, 1e-300)
+] + [
+    # After one sweep r = [1e160, 1e10] and c = [5e149, 0.5]: r_1 * c_1 is
+    # 5e309, beyond the float range, while every iterate entry stays near 5e9.
+    pytest.param(
+        np.ones((2, 2)),
+        np.outer([1e-150, 1.0], [1e-150, 1.0]),
+        Marginals([1e10, 1e10], [1e10, 1e10]),
+        id="split-rank-one",
+    ),
+]
 
 
 def unit_2x2(entries):
@@ -127,6 +153,62 @@ class TestSinkhornIterate:
         assert not partial.converged
         assert partial.iterations == 2
         assert partial.matrix.shape == (2, 2)
+
+    def test_not_converged_message_reports_finite_metric(self):
+        cfg = IterationConfig(max_iterations=2)
+        with pytest.raises(NotConverged) as err:
+            sinkhorn_iterate(unit_2x2([[1, 1000], [1, 1]]), cfg)
+        metric = re.search(r"metric (\S+),", str(err.value))
+        assert metric is not None
+        assert np.isfinite(float(metric.group(1)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("base_entries, moved_entries, targets", EXTREME_SCALE_CASES)
+    def test_extreme_matrix_scale_solves_without_warnings(self, base_entries, moved_entries, targets):
+        # moved_entries is a diagonal rescaling of base_entries, so both share one limit.
+        base = sinkhorn_iterate(validate_instance(PositiveMatrix(base_entries), targets))
+        moved = sinkhorn_iterate(validate_instance(PositiveMatrix(moved_entries), targets))
+        assert moved.converged
+        atol = 1e-9 * max(1.0, float(targets.row_targets.max()))
+        np.testing.assert_allclose(moved.matrix, base.matrix, rtol=0, atol=atol)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_factors_out_of_float_range_stop_early(self):
+        # Row sums of 1e-320 * M are subnormal, so 1 / (A c) overflows.
+        entries = 1e-320 * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.0, 9.0]])
+        inst = validate_instance(PositiveMatrix(entries), Marginals([1, 1, 1], [1, 1, 1]))
+        with pytest.raises(NonPositiveInput) as err:
+            sinkhorn_iterate(inst)
+        sweep = re.search(r"at sweep (\d+)", str(err.value))
+        assert sweep is not None
+        assert int(sweep.group(1)) <= 2
+
+    def test_stop_metrics_agree_with_plain_scaling(self):
+        rng = np.random.default_rng(7)
+        entries = np.exp(rng.normal(0.0, 1.0, size=(200, 300)))
+        targets = random_marginals(rng, 200, 300)
+        inst = validate_instance(PositiveMatrix(entries), targets)
+        by_norm = sinkhorn_iterate(inst, IterationConfig(convergence_metric="successive_frobenius"))
+        by_residual = sinkhorn_iterate(inst, IterationConfig(convergence_metric="max_marginal_residual"))
+        reference = entries.copy()
+        for _ in range(200):
+            reference *= (targets.row_targets / reference.sum(axis=1))[:, None]
+            reference *= targets.col_targets / reference.sum(axis=0)
+        assert max_abs_residual(reference, targets) < 1e-13
+        np.testing.assert_allclose(by_norm.matrix, by_residual.matrix, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(by_norm.matrix, reference, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(by_residual.matrix, reference, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (3, 3), (300, 400)])
+    def test_blocked_frobenius_matches_full_difference(self, rng, shape):
+        # 300 x 400 spans two row blocks.
+        entries = np.exp(rng.normal(0.0, 1.0, size=shape))
+        r0, c0 = rng.uniform(0.5, 2.0, shape[0]), rng.uniform(0.5, 2.0, shape[1])
+        r1 = r0 * rng.uniform(0.999, 1.001, shape[0])
+        c1 = c0 * rng.uniform(0.999, 1.001, shape[1])
+        full = np.linalg.norm((r1[:, None] * entries) * c1 - (r0[:, None] * entries) * c0)
+        blocked = _successive_frobenius(entries, r0, c0, r1, c1)
+        assert blocked == pytest.approx(full, rel=1e-10)
 
     def test_iteration_count_reported(self):
         result = sinkhorn_iterate(unit_2x2([[1, 2], [3, 4]]))
