@@ -119,7 +119,8 @@ class ScaledResult:
     """A balanced matrix plus convergence diagnostics.
 
     ``method`` is one of ``iterative``, ``closed_form_1xn``, ``closed_form_2x2``,
-    ``closed_form_2x2_singular``, or ``transposed_delegate``.
+    ``closed_form_2x2_singular``, or ``transposed_delegate``.  The matrix is
+    taken over, not copied: it is validated in place and made read-only.
     """
 
     matrix: np.ndarray
@@ -130,7 +131,13 @@ class ScaledResult:
     method: str
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _positive_array(self.matrix, "result matrix", 2))
+        matrix = np.asarray(self.matrix, dtype=float)
+        # NaN fails both comparisons.  On failure the copying validator
+        # raises the precise error.
+        if not (matrix.ndim == 2 and matrix.size and matrix.min() > 0 and matrix.max() < np.inf):
+            _positive_array(matrix, "result matrix", 2)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True, eq=False)

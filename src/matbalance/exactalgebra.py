@@ -9,19 +9,22 @@ algebraic degree of that coordinate over the input data.
 
 Numeric parameters are substituted before the basis computation, so the
 ideals live in at most a handful of unknowns; symbolic parameters are out
-of scope.  Everything is exact: coefficients are ``fractions.Fraction``
-throughout, and degree results are certificates, not approximations.
+of scope.  Everything is exact: the public polynomial types carry exact
+rationals, the reduction inside is fraction-free over the integers, and
+degree results are certificates, not approximations.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from ._packed import Divisor, Packing, ResourceLimit, reduce, reduce_basis, s_work, update_pairs
 from .core import MatrixBalanceError, ShapeMismatch
 from .iterative import GaugeFix
 
@@ -35,10 +38,6 @@ Monomial = tuple[int, ...]
 
 DEFAULT_MAX_PAIRS = 100_000
 DEFAULT_MAX_TERMS = 1_000_000
-
-
-class ResourceLimit(MatrixBalanceError):
-    """Basis computation exceeded the configured pair or term budget."""
 
 
 class NotZeroDimensional(MatrixBalanceError):
@@ -55,18 +54,6 @@ class MissingAssignment(MatrixBalanceError, KeyError):
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def monomial_degree(a: Monomial) -> int:
@@ -151,11 +138,12 @@ class MultivariatePolynomial:
         if self.variables != other.variables:
             raise ValueError(f"variable orders differ: {self.variables} vs {other.variables}")
 
-    def __add__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
+    def _combine(self, other: "MultivariatePolynomial", sign: int) -> "MultivariatePolynomial":
+        """``self + sign * other`` for a sign of +1 or -1."""
         self._check_compatible(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, _ZERO) + c
+            s = terms.get(m, _ZERO) + sign * c
             if s:
                 terms[m] = s
             elif m in terms:
@@ -164,28 +152,15 @@ class MultivariatePolynomial:
         out.terms = terms
         return out
 
+    def __add__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, _ZERO) - c
-            if s:
-                terms[m] = s
-            elif m in terms:
-                del terms[m]
-        out = MultivariatePolynomial(self.variables)
-        out.terms = terms
-        return out
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MultivariatePolynomial":
         out = MultivariatePolynomial(self.variables)
         out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def mul_term(self, coeff: Fraction, mono: Monomial) -> "MultivariatePolynomial":
-        out = MultivariatePolynomial(self.variables)
-        if coeff:
-            out.terms = {monomial_mul(m, mono): c * coeff for m, c in self.terms.items()}
         return out
 
     def __mul__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
@@ -265,99 +240,43 @@ class GroebnerBasis:
         return len(self.polynomials) == 1 and self.polynomials[0].is_constant() and not self.polynomials[0].is_zero()
 
 
+def _unpacked(packing: Packing, variables: tuple[str, ...], terms: dict[int, int], den: int) -> MultivariatePolynomial:
+    """The public polynomial ``terms / den``."""
+    out = MultivariatePolynomial(variables)
+    out.terms = {packing.unpack(m): Fraction(c, den) for m, c in terms.items()}
+    return out
+
+
 def normal_form(
     poly: MultivariatePolynomial,
     basis: "GroebnerBasis | Iterable[MultivariatePolynomial]",
 ) -> MultivariatePolynomial:
-    """Remainder of multivariate division by the basis; zero iff a member of the ideal."""
+    """Remainder of multivariate division by the basis; zero iff a member of the ideal.
+
+    The divisors are tried in order, and the remainder is the exact rational
+    one.
+
+    Raises:
+        ResourceLimit: an exponent reached the packed field limit.
+    """
     divisors = list(basis.polynomials) if isinstance(basis, GroebnerBasis) else [g for g in basis if not g.is_zero()]
     for g in divisors:
         if g.variables != poly.variables:
             raise ValueError("normal_form requires a common variable order")
-    leads = [(g.leading_monomial(), g.leading_coefficient(), g) for g in divisors]
-    work = dict(poly.terms)
-    remainder: dict[Monomial, Fraction] = {}
-    while work:
-        mono = max(work)
-        coeff = work.pop(mono)
-        for lead_mono, lead_coeff, g in leads:
-            if monomial_divides(lead_mono, mono):
-                shift = monomial_div(mono, lead_mono)
-                factor = coeff / lead_coeff
-                for m, c in g.terms.items():
-                    if m == lead_mono:
-                        continue
-                    target = monomial_mul(m, shift)
-                    s = work.get(target, _ZERO) - factor * c
-                    if s:
-                        work[target] = s
-                    elif target in work:
-                        del work[target]
-                break
-        else:
-            remainder[mono] = coeff
-    out = MultivariatePolynomial(poly.variables)
-    out.terms = remainder
-    return out
+    packing = Packing(len(poly.variables))
+    records = [packing.divisor(packing.integer_terms(g.terms)[0]) for g in divisors]
+    work, den = packing.integer_terms(poly.terms)
+    remainder, scale = reduce(work, records, packing)
+    return _unpacked(packing, poly.variables, remainder, den * scale)
 
 
 def s_polynomial(f: MultivariatePolynomial, g: MultivariatePolynomial) -> MultivariatePolynomial:
-    lcm = monomial_lcm(f.leading_monomial(), g.leading_monomial())
-    left = f.mul_term(1 / f.leading_coefficient(), monomial_div(lcm, f.leading_monomial()))
-    right = g.mul_term(1 / g.leading_coefficient(), monomial_div(lcm, g.leading_monomial()))
-    return left - right
-
-
-def _update_pairs(
-    pairs: list[tuple[int, Monomial, int, int]],
-    lead: list[Monomial],
-    t: int,
-) -> list[tuple[int, Monomial, int, int]]:
-    """Gebauer-Moeller pair update when basis element ``t`` is appended.
-
-    Installs Buchberger's two classical discarding criteria: pairs whose
-    leading monomials are coprime reduce to zero, and pairs dominated by a
-    chain through the new element are redundant.
-    """
-    new_lead = lead[t]
-    lcms = {i: monomial_lcm(lead[i], new_lead) for i in range(t)}
-
-    # Drop old pairs strictly dominated by the new element.
-    survivors = []
-    for entry in pairs:
-        _, lcm_ij, i, j = entry
-        if (
-            monomial_divides(new_lead, lcm_ij)
-            and lcms[i] != lcm_ij
-            and lcms[j] != lcm_ij
-        ):
-            continue
-        survivors.append(entry)
-    heapq.heapify(survivors)
-
-    # Among the new pairs, drop those whose lcm is a proper multiple of
-    # another new pair's lcm, then keep one representative per equal lcm.
-    candidates = sorted(range(t), key=lambda i: (monomial_degree(lcms[i]), lcms[i], i))
-    kept: list[int] = []
-    kept_lcms: list[Monomial] = []
-    seen: set[Monomial] = set()
-    for i in candidates:
-        lcm_it = lcms[i]
-        if lcm_it in seen:
-            continue
-        if any(monomial_divides(other, lcm_it) and other != lcm_it for other in kept_lcms):
-            continue
-        kept.append(i)
-        kept_lcms.append(lcm_it)
-        seen.add(lcm_it)
-
-    # Product criterion: coprime leading monomials reduce to zero.
-    for i in kept:
-        lcm_it = lcms[i]
-        if lcm_it == monomial_mul(lead[i], new_lead):
-            continue
-        heapq.heappush(survivors, (monomial_degree(lcm_it), lcm_it, i, t))
-    return survivors
+    """The S-polynomial ``(L/lm f) f/lc f - (L/lm g) g/lc g``, with ``L`` the lcm of the leads."""
+    if f.variables != g.variables:
+        raise ValueError("s_polynomial requires a common variable order")
+    packing = Packing(len(f.variables))
+    f_int, g_int = (packing.divisor(packing.integer_terms(p.terms)[0]) for p in (f, g))
+    return _unpacked(packing, f.variables, s_work(f_int, g_int, packing), math.lcm(f_int.coeff, g_int.coeff))
 
 
 def buchberger(
@@ -367,11 +286,13 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced monic lex Groebner basis of the generated ideal.
 
-    Pairs are processed lowest-lcm-degree first (normal selection).  A
-    nonzero constant remainder short-circuits to the unit basis.
+    Pairs are processed smallest lcm in the lex order first (Buchberger's
+    normal strategy).  A nonzero constant remainder short-circuits to the
+    unit basis.
 
     Raises:
-        ResourceLimit: the pair or stored-term budget was exceeded.
+        ResourceLimit: the pair or stored-term budget was exceeded, or an
+            exponent reached the packed field limit.
     """
     generators = list(generators)
     if not generators:
@@ -384,61 +305,48 @@ def buchberger(
     unit = GroebnerBasis(
         polynomials=(MultivariatePolynomial.constant(1, variables),), variables=variables
     )
+    packing = Packing(len(variables))
 
-    basis: list[MultivariatePolynomial] = []
-    lead: list[Monomial] = []
-    pairs: list[tuple[int, Monomial, int, int]] = []
+    basis: list[Divisor] = []
+    lead: list[int] = []
+    pairs: list[tuple[int, int, int]] = []
     term_count = 0
 
-    def append(p: MultivariatePolynomial):
+    def append(remainder: dict[int, int]):
         nonlocal pairs, term_count
-        basis.append(p)
-        lead.append(p.leading_monomial())
-        term_count += len(p.terms)
+        g = packing.divisor(remainder)
+        basis.append(g)
+        lead.append(g.lead)
+        term_count += len(remainder)
         if term_count > max_terms:
             raise ResourceLimit(f"stored terms exceeded {max_terms}")
-        pairs = _update_pairs(pairs, lead, len(basis) - 1)
+        pairs = update_pairs(pairs, lead, len(basis) - 1, packing)
 
     for g in generators:
-        r = normal_form(g, basis)
-        if r.is_zero():
+        r, _ = reduce(packing.integer_terms(g.terms)[0], basis, packing)
+        if not r:
             continue
-        if r.is_constant():
+        # Remainder terms come out in decreasing order: a zero leading
+        # monomial means a nonzero constant.
+        if not next(iter(r)):
             return unit
-        append(r.monic())
+        append(r)
 
     processed = 0
     while pairs:
         processed += 1
         if processed > max_pairs:
             raise ResourceLimit(f"processed pairs exceeded {max_pairs}")
-        _, _, i, j = heapq.heappop(pairs)
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero():
+        _, i, j = heapq.heappop(pairs)
+        r, _ = reduce(s_work(basis[i], basis[j], packing), basis, packing)
+        if not r:
             continue
-        if r.is_constant():
+        if not next(iter(r)):
             return unit
-        append(r.monic())
+        append(r)
 
-    return GroebnerBasis(polynomials=tuple(_reduce_basis(basis)), variables=variables)
-
-
-def _reduce_basis(basis: list[MultivariatePolynomial]) -> list[MultivariatePolynomial]:
-    """Minimalize (no leading monomial divides another) then tail-reduce."""
-    ordered = sorted(basis, key=lambda g: g.leading_monomial())
-    minimal: list[MultivariatePolynomial] = []
-    for g in ordered:
-        lm = g.leading_monomial()
-        if any(monomial_divides(h.leading_monomial(), lm) for h in minimal):
-            continue
-        minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = normal_form(g, others)
-        reduced.append(r.monic())
-    reduced.sort(key=lambda g: g.leading_monomial(), reverse=True)
-    return reduced
+    reduced = [_unpacked(packing, variables, r, next(iter(r.values()))) for r in reduce_basis(basis, packing)]
+    return GroebnerBasis(polynomials=tuple(reduced), variables=variables)
 
 
 def elimination_degree(basis: GroebnerBasis, variable: str) -> int:

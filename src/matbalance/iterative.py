@@ -105,16 +105,16 @@ def _successive_frobenius(
     ``(rk_i * a_ij) * ck_j``, the order of :func:`~matbalance.core.apply_scaling`,
     so it is finite whenever the iterate is: ``rk_i * ck_j`` alone can
     overflow or underflow where the iterate does not.  A sum of squares beyond
-    the float range reads inf, which fails any tolerance.
+    the float range reads inf, which fails any tolerance; the caller's
+    ``np.errstate`` keeps that overflow quiet.
     """
     step = max(1, _FROBENIUS_BLOCK_ENTRIES // entries.shape[1])
     squares = 0.0
-    with np.errstate(over="ignore"):
-        for lo in range(0, entries.shape[0], step):
-            block = entries[lo:lo + step]
-            diff = (r1[lo:lo + step, None] * block) * c1 - (r0[lo:lo + step, None] * block) * c0
-            flat = diff.ravel()
-            squares += float(flat @ flat)
+    for lo in range(0, entries.shape[0], step):
+        block = entries[lo:lo + step]
+        diff = (r1[lo:lo + step, None] * block) * c1 - (r0[lo:lo + step, None] * block) * c0
+        flat = diff.ravel()
+        squares += float(flat @ flat)
     return math.sqrt(squares)
 
 
@@ -147,34 +147,37 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     converged = False
     metric = np.inf
 
-    while iterations < config.max_iterations:
-        iterations += 1
-        previous = r, c
-        r = row_targets / a_c
-        at_r = entries.T @ r
-        c = col_targets / at_r
-        a_c = entries @ c
-        # NaN fails every comparison, so this also catches NaN factors.
-        if not (r.min() > 0 and c.min() > 0 and r.max() < np.inf and c.max() < np.inf):
-            raise NonPositiveInput(
-                f"scaling factors left the positive float range at sweep {iterations}: "
-                "the matrix or target magnitudes exceed double precision"
-            )
+    # A factor out of range is caught by the check below and raised as a
+    # typed error, so numpy's own warnings would only repeat it, untyped.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while iterations < config.max_iterations:
+            iterations += 1
+            previous = r, c
+            r = row_targets / a_c
+            at_r = entries.T @ r
+            c = col_targets / at_r
+            a_c = entries @ c
+            # NaN fails every comparison, so this also catches NaN factors.
+            if not (r.min() > 0 and c.min() > 0 and r.max() < np.inf and c.max() < np.inf):
+                raise NonPositiveInput(
+                    f"scaling factors left the positive float range at sweep {iterations}: "
+                    "the matrix or target magnitudes exceed double precision"
+                )
 
-        row_res = r * a_c - row_targets
-        col_res = c * at_r - col_targets
-        residuals_ok = bool(
-            np.all(np.abs(row_res) <= row_gate) and np.all(np.abs(col_res) <= col_gate)
-        )
-        if not frobenius:
-            metric = max(float(np.max(np.abs(row_res))), float(np.max(np.abs(col_res))))
-        elif residuals_ok or iterations == config.max_iterations:
-            # Both stop conditions must hold, so the O(nm) norm is only
-            # worth computing once the O(n+m) residual test has passed.
-            metric = _successive_frobenius(entries, *previous, r, c)
-        if metric < config.tolerance and residuals_ok:
-            converged = True
-            break
+            row_res = r * a_c - row_targets
+            col_res = c * at_r - col_targets
+            residuals_ok = bool(
+                np.all(np.abs(row_res) <= row_gate) and np.all(np.abs(col_res) <= col_gate)
+            )
+            if not frobenius:
+                metric = max(float(np.max(np.abs(row_res))), float(np.max(np.abs(col_res))))
+            elif residuals_ok or iterations == config.max_iterations:
+                # Both stop conditions must hold, so the O(nm) norm is only
+                # worth computing once the O(n+m) residual test has passed.
+                metric = _successive_frobenius(entries, *previous, r, c)
+            if metric < config.tolerance and residuals_ok:
+                converged = True
+                break
 
     factors = ScalingPair(r, c)
     matrix = apply_scaling(instance.matrix, factors)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,22 @@ class TestScaleCommand:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_factors_out_of_range_print_only_the_error_line(self, tmp_path):
+        # Run as a process, so stderr holds whatever numpy would print too.
+        path = tmp_path / "subnormal.json"
+        tiny = (1e-320 * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])).tolist()
+        path.write_text(json.dumps({"matrix": tiny, "row_sums": [1, 1, 1], "col_sums": [1, 1, 1]}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "matbalance.cli", "scale", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_INVALID_INPUT
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_closed_form_on_unsupported_shape_exits_2(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

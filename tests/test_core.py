@@ -6,6 +6,7 @@ from matbalance import (
     Marginals,
     NonPositiveInput,
     PositiveMatrix,
+    ScaledResult,
     ScalingPair,
     ShapeMismatch,
     apply_scaling,
@@ -38,6 +39,29 @@ class TestConstruction:
         m = PositiveMatrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    def test_result_matrix_is_taken_over_not_copied(self):
+        fresh = np.array([[1.0, 2.0], [3.0, 4.0]])
+        result = ScaledResult(fresh, None, 0, 0.0, True, "iterative")
+        assert result.matrix is fresh
+        with pytest.raises(ValueError):
+            result.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            ([[1.0, 0.0]], NonPositiveInput),
+            ([[1.0, -2.0]], NonPositiveInput),
+            ([[1.0, np.nan]], NonPositiveInput),
+            ([[np.inf, 1.0]], NonPositiveInput),
+            ([[-np.inf, 1.0]], NonPositiveInput),
+            ([1.0, 2.0], ShapeMismatch),
+            (np.empty((0, 2)), ShapeMismatch),
+        ],
+    )
+    def test_result_matrix_rejects_bad_values(self, bad, error):
+        with pytest.raises(error, match="result matrix"):
+            ScaledResult(np.array(bad, dtype=float), None, 0, 0.0, True, "iterative")
 
     def test_scaling_pair_rejects_nonpositive(self):
         with pytest.raises(NonPositiveInput):

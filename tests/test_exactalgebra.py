@@ -196,6 +196,14 @@ class TestBuchberger:
                         all(le <= me for le, me in zip(lead, mono)) for mono in g.terms
                     )
 
+    def test_s_polynomial_is_exact(self):
+        vs = ("x", "y")
+        f = poly(vs, {(2, 0): 2, (0, 0): -2})
+        g = poly(vs, {(1, 1): Fraction(3, 5), (0, 0): Fraction(-3, 5)})
+        # y * f / 2 - x * g * 5/3 = x - y
+        assert s_polynomial(f, g) == poly(vs, {(1, 0): 1, (0, 1): -1})
+        assert s_polynomial(g, f) == poly(vs, {(1, 0): -1, (0, 1): 1})
+
     def test_all_s_polynomials_reduce_to_zero(self):
         rng = random.Random(31)
         for rows, cols in [(2, 2), (2, 3), (2, 4)]:
@@ -214,7 +222,7 @@ class TestBuchberger:
 
     def test_matches_sympy_reduced_basis(self):
         rng = random.Random(41)
-        for rows, cols in [(1, 3), (2, 2), (2, 3), (2, 4)]:
+        for rows, cols in [(1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3)]:
             inst = random_rational_instance(rows, cols, rng)
             gens = build_scaling_ideal(inst)
             mine = buchberger(gens)
@@ -227,6 +235,20 @@ class TestBuchberger:
             }
             mine_exprs = {sp.expand(_to_sympy(g, syms)) for g in mine.polynomials}
             assert mine_exprs == ref_monic
+
+    def test_exponent_past_packed_field_raises(self):
+        vs = ("x", "y")
+        limit = 1 << 15
+        with pytest.raises(ResourceLimit):
+            buchberger([poly(vs, {(limit, 0): 1, (0, 0): -1})])
+        # x - y^e turns x^2 into y^(2e) during reduction.
+        near = limit // 2 - 1
+        basis = buchberger([poly(vs, {(1, 0): 1, (0, near): -1}), poly(vs, {(2, 0): 1, (0, 0): -1})])
+        assert [g.leading_monomial() for g in basis.polynomials] == [(1, 0), (0, 2 * near)]
+        with pytest.raises(ResourceLimit):
+            buchberger([poly(vs, {(1, 0): 1, (0, near + 1): -1}), poly(vs, {(2, 0): 1, (0, 0): -1})])
+        with pytest.raises(ResourceLimit):
+            normal_form(poly(vs, {(2, 0): 1}), [poly(vs, {(1, 0): 1, (0, near + 1): -1})])
 
 
 def _to_sympy(p, syms):
@@ -241,6 +263,26 @@ def _to_sympy(p, syms):
 
 
 class TestNormalForm:
+    def test_remainder_is_exact(self):
+        rng = random.Random(42)
+        inst = random_rational_instance(2, 3, rng)
+        basis = buchberger(build_scaling_ideal(inst))
+        vs = basis.variables
+        syms = {name: sp.Symbol(name) for name in vs}
+        order = [syms[v] for v in vs]
+        for _ in range(5):
+            terms = {
+                tuple(rng.randint(0, 3) for _ in vs): Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+                for _ in range(6)
+            }
+            p = poly(vs, terms)
+            mine = normal_form(p, basis)
+            _, ref = sp.reduced(
+                _to_sympy(p, syms), [_to_sympy(g, syms) for g in basis.polynomials],
+                *order, order="lex", domain="QQ",
+            )
+            assert sp.expand(_to_sympy(mine, syms) - ref) == 0
+
     def test_member_reduces_to_zero(self):
         vs = ("x", "y")
         g = poly(vs, {(1, 0): 1, (0, 1): -1})
@@ -269,6 +311,35 @@ class TestEliminationDegree:
             inst = random_rational_instance(rows, cols, rng)
             basis = buchberger(build_scaling_ideal(inst))
             assert elimination_degree(basis, basis.variables[-1]) == expected
+
+    def test_3x4_reaches_the_bound(self):
+        for seed in range(3):
+            inst = random_rational_instance(3, 4, random.Random(2000 + seed))
+            basis = buchberger(build_scaling_ideal(inst))
+            assert elimination_degree(basis, basis.variables[-1]) == 10
+
+    @pytest.mark.parametrize("rows,cols", [(2, 5), (3, 3), (3, 4)])
+    def test_iterative_coordinate_is_a_root(self, rows, cols):
+        # Cross-route check: the iterative solver's gauge-fixed last
+        # coordinate brackets a root of the certified univariate element.
+        inst = random_rational_instance(rows, cols, random.Random(3000 + 10 * rows + cols))
+        basis = buchberger(build_scaling_ideal(inst))
+        last = basis.variables[-1]
+        (univariate,) = [g for g in basis.polynomials if g.uses_only(last)]
+        floats = validate_instance(
+            PositiveMatrix([[float(v) for v in row] for row in inst.entries]),
+            Marginals([float(v) for v in inst.row_targets], [float(v) for v in inst.col_targets]),
+        )
+        pair = extract_factors(floats, sinkhorn_iterate(floats), inst.gauge)
+        factors = pair.row_factors if last[0] == "r" else pair.col_factors
+        x = Fraction(float(factors[int(last[1:]) - 1]))
+        k = basis.variables.index(last)
+
+        def value(at):
+            return sum(c * at ** m[k] for m, c in univariate.terms.items())
+
+        width = x * Fraction(1, 10**7)
+        assert value(x - width) * value(x + width) <= 0
 
     def test_exactly_singular_2x2_drops_to_one(self):
         inst = RationalInstance(

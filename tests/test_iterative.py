@@ -172,7 +172,7 @@ class TestSinkhornIterate:
         atol = 1e-9 * max(1.0, float(targets.row_targets.max()))
         np.testing.assert_allclose(moved.matrix, base.matrix, rtol=0, atol=atol)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_factors_out_of_float_range_stop_early(self):
         # Row sums of 1e-320 * M are subnormal, so 1 / (A c) overflows.
         entries = 1e-320 * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.0, 9.0]])
