@@ -1,14 +1,21 @@
 """Command-line front end.
 
-Commands:
-    scale         balance a matrix to the target sums and print the result
-    factors       additionally print the gauge-normalized scaling factors
+Commands, and the flags each one reads:
+    scale         balance a matrix to the target sums and print the result.
+                  Flags: --rows/--cols (CSV or matrix-only input), --method,
+                  --tol, --max-iters, --singularity-threshold, --format.
+    factors       as scale, and print the gauge-normalized scaling factors.
+                  Flags: those of scale plus --gauge.
     compare       run both the iterative and closed-form routes and report
-                  the entrywise gap between them
+                  the entrywise gap between them.  Flags: --rows/--cols,
+                  --tol, --max-iters, --singularity-threshold, --format.
     degree-check  certify the algebraic-degree table on seeded random
-                  exact-rational instances (or on one exact-parsed input)
+                  exact-rational instances (--seed, --count), or on one
+                  exact-parsed input file (--rows/--cols, --gauge).  Both
+                  modes take --format.
 
-Inputs are either a JSON document with fields ``matrix``, ``row_sums`` and
+A flag given to a command that does not read it is a usage error.  Inputs
+are either a JSON document with fields ``matrix``, ``row_sums`` and
 ``col_sums``, or a matrix-only CSV with targets passed via --rows/--cols.
 For degree-check, decimal strings are parsed exactly into rationals
 (``0.1`` becomes 1/10), never through binary floats, so the algebra engine
@@ -26,7 +33,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +76,8 @@ from .iterative import (
 SCHEMA_VERSION = 1
 COMPARE_GAP_TOL = 1e-6
 DEGREE_CHECK_SHAPES = ((1, 3), (2, 2), (2, 3), (2, 4))
+DEGREE_CHECK_SEED = 42
+DEGREE_CHECK_COUNT = 20
 
 EXIT_OK = 0
 EXIT_DEFECT = 1
@@ -88,32 +96,6 @@ class ParseError(MatrixBalanceError, ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    input_path: str | None
-    method: str = "auto"
-    tolerance: float = 1e-9
-    max_iterations: int = 1000
-    gauge: GaugeFix | None = None
-    seed: int = 42
-    count: int = 20
-    output_format: str = "json"
-    singularity_threshold: float = DEFAULT_SINGULARITY_THRESHOLD
-    rows_flag: str | None = None
-    cols_flag: str | None = None
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-
-
 def _parse_number(text: str, exact: bool, line: int, column: int):
     text = text.strip()
     try:
@@ -127,11 +109,8 @@ def _parse_number(text: str, exact: bool, line: int, column: int):
         raise ParseError(f"not a number: {text!r}", line, column) from None
 
 
-def _parse_vector_flag(flag: str, name: str, exact: bool):
-    values = [v for v in flag.split(",") if v.strip()]
-    if not values:
-        raise ParseError(f"--{name} must list at least one value", 1, 1)
-    return [_parse_number(v, exact, 1, k + 1) for k, v in enumerate(values)]
+def _parse_vector_flag(flag: str, exact: bool):
+    return [_parse_number(v, exact, 1, k) for k, v in enumerate(flag.split(","), start=1)]
 
 
 def parse_input(
@@ -182,8 +161,8 @@ def _parse_json_document(text: str, rows_flag, cols_flag, exact: bool):
     else:
         if not (rows_flag and cols_flag):
             raise ParseError("matrix-only document requires --rows and --cols", 1, 1)
-        row_sums = _parse_vector_flag(rows_flag, "rows", exact)
-        col_sums = _parse_vector_flag(cols_flag, "cols", exact)
+        row_sums = _parse_vector_flag(rows_flag, exact)
+        col_sums = _parse_vector_flag(cols_flag, exact)
     return matrix, row_sums, col_sums
 
 
@@ -201,8 +180,8 @@ def _parse_csv_matrix(text: str, rows_flag, cols_flag, exact: bool):
         raise ParseError("empty matrix", 1, 1)
     if not (rows_flag and cols_flag):
         raise ParseError("CSV input requires --rows and --cols target flags", 1, 1)
-    row_sums = _parse_vector_flag(rows_flag, "rows", exact)
-    col_sums = _parse_vector_flag(cols_flag, "cols", exact)
+    row_sums = _parse_vector_flag(rows_flag, exact)
+    col_sums = _parse_vector_flag(cols_flag, exact)
     return matrix, row_sums, col_sums
 
 
@@ -223,31 +202,36 @@ def _parse_gauge(flag: str | None) -> GaugeFix | None:
     return GaugeFix(kind, index - 1)
 
 
-def _instance_from_spec(spec: JobSpec) -> ValidatedInstance:
-    matrix, row_sums, col_sums = parse_input(spec.input_path, spec.rows_flag, spec.cols_flag)
+def _iteration_config(args: argparse.Namespace) -> IterationConfig:
+    return IterationConfig(tolerance=args.tol, max_iterations=args.max_iters)
+
+
+def _read_instance(args: argparse.Namespace) -> ValidatedInstance:
+    matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols)
     return validate_instance(
         PositiveMatrix(np.array(matrix, dtype=float)),
         Marginals(np.array(row_sums, dtype=float), np.array(col_sums, dtype=float)),
     )
 
 
-def _solve(spec: JobSpec, instance: ValidatedInstance) -> ScaledResult:
-    config = IterationConfig(tolerance=spec.tolerance, max_iterations=spec.max_iterations)
-    if spec.method == "iterative":
+def _solve(args: argparse.Namespace, instance: ValidatedInstance, config: IterationConfig) -> ScaledResult:
+    if args.method == "iterative":
         return sinkhorn_iterate(instance, config)
-    if spec.method == "closed-form":
-        return closed_form_dispatch(instance, spec.singularity_threshold)
+    if args.method == "closed-form":
+        return closed_form_dispatch(instance, args.singularity_threshold)
     try:
-        return closed_form_dispatch(instance, spec.singularity_threshold)
+        return closed_form_dispatch(instance, args.singularity_threshold)
     except UnsupportedShape:
         return sinkhorn_iterate(instance, config)
 
 
-def _result_document(spec: JobSpec, instance: ValidatedInstance, result: ScaledResult) -> dict:
+def _result_document(
+    command: str, config: IterationConfig, instance: ValidatedInstance, result: ScaledResult
+) -> dict:
     row_res, col_res = residuals(result.matrix, instance.marginals)
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": spec.command,
+        "command": command,
         "method": result.method,
         "matrix": [[float(v) for v in row] for row in result.matrix],
         "row_targets": [float(v) for v in instance.marginals.row_targets],
@@ -257,51 +241,54 @@ def _result_document(spec: JobSpec, instance: ValidatedInstance, result: ScaledR
         "max_marginal_residual": result.max_marginal_residual,
         "iterations": result.iterations,
         "converged": result.converged,
-        "tolerance": spec.tolerance,
+        "tolerance": config.tolerance,
     }
 
 
-def _run_scale(spec: JobSpec) -> tuple[dict, int]:
-    instance = _instance_from_spec(spec)
-    result = _solve(spec, instance)
-    return _result_document(spec, instance, result), EXIT_OK
+def _run_scale(args: argparse.Namespace) -> tuple[dict, int]:
+    config = _iteration_config(args)
+    instance = _read_instance(args)
+    result = _solve(args, instance, config)
+    return _result_document("scale", config, instance, result), EXIT_OK
 
 
-def _run_factors(spec: JobSpec) -> tuple[dict, int]:
-    instance = _instance_from_spec(spec)
-    result = _solve(spec, instance)
+def _run_factors(args: argparse.Namespace) -> tuple[dict, int]:
+    config = _iteration_config(args)
+    gauge = _parse_gauge(args.gauge)
+    instance = _read_instance(args)
+    result = _solve(args, instance, config)
     if result.factors is None:
         # Singular closed form carries no factors; rerun iteratively.
-        config = IterationConfig(tolerance=spec.tolerance, max_iterations=spec.max_iterations)
         result = sinkhorn_iterate(instance, config)
-    gauge = spec.gauge if spec.gauge is not None else default_gauge(instance.rows, instance.cols)
+    if gauge is None:
+        gauge = default_gauge(instance.rows, instance.cols)
     pair = extract_factors(instance, result, gauge)
-    doc = _result_document(spec, instance, result)
+    doc = _result_document("factors", config, instance, result)
     doc["gauge"] = {"kind": gauge.kind, "index": gauge.index + 1}
     doc["row_factors"] = [float(v) for v in pair.row_factors]
     doc["col_factors"] = [float(v) for v in pair.col_factors]
     return doc, EXIT_OK
 
 
-def _run_compare(spec: JobSpec) -> tuple[dict, int]:
-    instance = _instance_from_spec(spec)
-    config = IterationConfig(tolerance=spec.tolerance, max_iterations=spec.max_iterations)
+def _run_compare(args: argparse.Namespace) -> tuple[dict, int]:
+    config = _iteration_config(args)
+    instance = _read_instance(args)
     iterative_result = sinkhorn_iterate(instance, config)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
-        "iterative": _result_document(spec, instance, iterative_result),
+        "iterative": _result_document("compare", config, instance, iterative_result),
         "closed_form": None,
         "max_entrywise_gap": None,
         "gap_tolerance": COMPARE_GAP_TOL,
         "ok": True,
     }
     try:
-        closed = closed_form_dispatch(instance, spec.singularity_threshold)
+        closed = closed_form_dispatch(instance, args.singularity_threshold)
     except UnsupportedShape:
         return doc, EXIT_OK
     gap = float(np.max(np.abs(closed.matrix - iterative_result.matrix)))
-    doc["closed_form"] = _result_document(spec, instance, closed)
+    doc["closed_form"] = _result_document("compare", config, instance, closed)
     doc["max_entrywise_gap"] = gap
     doc["ok"] = gap <= COMPARE_GAP_TOL
     return doc, EXIT_OK if doc["ok"] else EXIT_DEFECT
@@ -311,16 +298,30 @@ def _degree_bound(rows: int, cols: int) -> int:
     return math.comb(rows + cols - 2, rows - 1)
 
 
-def _run_degree_check(spec: JobSpec) -> tuple[dict, int]:
-    if spec.input_path is not None:
-        return _degree_check_single(spec)
+def _reject_flags(args: argparse.Namespace, names: tuple[str, ...], mode: str) -> None:
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be used {mode}")
+
+
+def _run_degree_check(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.input is not None:
+        _reject_flags(args, ("seed", "count"), "with an input file")
+        return _degree_check_single(args)
+    _reject_flags(args, ("gauge", "rows", "cols"), "without an input file")
+    seed = DEGREE_CHECK_SEED if args.seed is None else args.seed
+    count = DEGREE_CHECK_COUNT if args.count is None else args.count
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    if count < 1:
+        raise ValueError(f"--count must be >= 1, got {count}")
     shapes = []
     all_within = True
     for rows, cols in DEGREE_CHECK_SHAPES:
-        rng = random.Random(f"{spec.seed}:{rows}x{cols}")
+        rng = random.Random(f"{seed}:{rows}x{cols}")
         bound = _degree_bound(rows, cols)
         degrees = []
-        for _ in range(spec.count):
+        for _ in range(count):
             inst = random_rational_instance(rows, cols, rng)
             basis = buchberger(build_scaling_ideal(inst))
             degrees.append(elimination_degree(basis, basis.variables[-1]))
@@ -332,7 +333,7 @@ def _run_degree_check(spec: JobSpec) -> tuple[dict, int]:
                 "rows": rows,
                 "cols": cols,
                 "bound": bound,
-                "count": spec.count,
+                "count": count,
                 "degrees": histogram,
                 "max_observed": max(degrees),
                 "within_bound": within,
@@ -341,20 +342,20 @@ def _run_degree_check(spec: JobSpec) -> tuple[dict, int]:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "degree-check",
-        "seed": spec.seed,
-        "count": spec.count,
+        "seed": seed,
+        "count": count,
         "shapes": shapes,
         "all_within_bound": all_within,
     }
     return doc, EXIT_OK if all_within else EXIT_DEFECT
 
 
-def _degree_check_single(spec: JobSpec) -> tuple[dict, int]:
-    matrix, row_sums, col_sums = parse_input(
-        spec.input_path, spec.rows_flag, spec.cols_flag, exact=True
-    )
+def _degree_check_single(args: argparse.Namespace) -> tuple[dict, int]:
+    gauge = _parse_gauge(args.gauge)
+    matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols, exact=True)
     rows, cols = len(matrix), len(matrix[0]) if matrix else 0
-    gauge = spec.gauge if spec.gauge is not None else default_gauge(rows, cols)
+    if gauge is None:
+        gauge = default_gauge(rows, cols)
     instance = RationalInstance(
         entries=tuple(tuple(v for v in row) for row in matrix),
         row_targets=tuple(row_sums),
@@ -379,17 +380,6 @@ def _degree_check_single(spec: JobSpec) -> tuple[dict, int]:
     doc["degree"] = degree
     doc["within_bound"] = degree <= doc["bound"]
     return doc, EXIT_OK if doc["within_bound"] else EXIT_DEFECT
-
-
-def run_job(spec: JobSpec) -> tuple[dict, int]:
-    """Execute one command and return (report document, exit code)."""
-    runners = {
-        "scale": _run_scale,
-        "factors": _run_factors,
-        "compare": _run_compare,
-        "degree-check": _run_degree_check,
-    }
-    return runners[spec.command](spec)
 
 
 def _emit_csv(doc: dict) -> str:
@@ -418,61 +408,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Balance positive matrices to prescribed row/column sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scale = sub.add_parser("scale", help="balance a matrix")
+    factors = sub.add_parser("factors", help="balance and report scaling factors")
+    compare = sub.add_parser("compare", help="iterative vs closed form")
+    degree = sub.add_parser("degree-check", help="certify the algebraic-degree table")
+    scale.set_defaults(run=_run_scale)
+    factors.set_defaults(run=_run_factors)
+    compare.set_defaults(run=_run_compare)
+    degree.set_defaults(run=_run_degree_check)
 
-    def add_common(p, with_input=True, input_optional=False):
-        if with_input:
-            if input_optional:
-                p.add_argument("input", nargs="?", default=None, help="JSON document or CSV matrix")
-            else:
-                p.add_argument("input", help="JSON document or CSV matrix")
-        p.add_argument("--rows", dest="rows_flag", default=None, help="comma-separated row targets (CSV input)")
-        p.add_argument("--cols", dest="cols_flag", default=None, help="comma-separated col targets (CSV input)")
+    for p in (scale, factors, compare):
+        p.add_argument("input", help="JSON document or CSV matrix")
+    degree.add_argument("input", nargs="?", default=None, help="JSON document or CSV matrix")
+    for p in (scale, factors, compare, degree):
+        p.add_argument("--rows", default=None, help="comma-separated row targets (CSV input)")
+        p.add_argument("--cols", default=None, help="comma-separated col targets (CSV input)")
+    for p in (scale, factors):
         p.add_argument("--method", choices=["auto", "iterative", "closed-form"], default="auto")
+    for p in (scale, factors, compare):
         p.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance")
         p.add_argument("--max-iters", type=int, default=1000)
-        p.add_argument("--gauge", default=None, help="factor pinned to 1: r,INDEX or c,INDEX (1-based)")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--count", type=int, default=20, help="instances per shape for degree-check")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument(
             "--singularity-threshold",
             type=float,
             default=DEFAULT_SINGULARITY_THRESHOLD,
             help="route 2x2 to the singular formula when |det| <= threshold * alpha",
         )
-
-    add_common(sub.add_parser("scale", help="balance a matrix"))
-    add_common(sub.add_parser("factors", help="balance and report scaling factors"))
-    add_common(sub.add_parser("compare", help="iterative vs closed form"))
-    add_common(
-        sub.add_parser("degree-check", help="certify the algebraic-degree table"),
-        input_optional=True,
+    for p in (factors, degree):
+        p.add_argument("--gauge", default=None, help="factor pinned to 1: r,INDEX or c,INDEX (1-based)")
+    degree.add_argument("--seed", type=int, default=None, help=f"seeded mode only (default {DEGREE_CHECK_SEED})")
+    degree.add_argument(
+        "--count", type=int, default=None, help=f"instances per shape, seeded mode only (default {DEGREE_CHECK_COUNT})"
     )
+    for p in (scale, factors, compare, degree):
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
-
-
-def spec_from_args(args: argparse.Namespace) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        input_path=args.input,
-        method=args.method,
-        tolerance=args.tol,
-        max_iterations=args.max_iters,
-        gauge=_parse_gauge(args.gauge),
-        seed=args.seed,
-        count=args.count,
-        output_format=args.format,
-        singularity_threshold=args.singularity_threshold,
-        rows_flag=args.rows_flag,
-        cols_flag=args.cols_flag,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = spec_from_args(args)
-        doc, code = run_job(spec)
+        doc, code = args.run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -493,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         # but distinct from usage errors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEFECT
-    if spec.output_format == "csv":
+    if args.format == "csv":
         print(_emit_csv(doc))
     else:
         print(json.dumps(doc, indent=2))

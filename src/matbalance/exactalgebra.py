@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ._packed import Divisor, Packing, ResourceLimit, reduce, reduce_basis, s_work, update_pairs
-from .core import MatrixBalanceError, ShapeMismatch
+from .core import MatrixBalanceError, NonPositiveInput, ShapeMismatch
 from .iterative import GaugeFix
 
 # Arbitrary-precision rational: always lowest terms, positive denominator,
@@ -429,12 +429,8 @@ class RationalInstance:
             )
         for value in itertools.chain(rows, cols, *entries):
             if value <= 0:
-                raise ValueError(f"all data must be strictly positive, got {value}")
-        if self.gauge.kind == "unit_row_factor":
-            if self.gauge.index >= len(entries):
-                raise ShapeMismatch(f"row gauge index {self.gauge.index} for {len(entries)} rows")
-        elif self.gauge.index >= width:
-            raise ShapeMismatch(f"col gauge index {self.gauge.index} for {width} cols")
+                raise NonPositiveInput(f"all data must be strictly positive, got {value}")
+        self.gauge.check_fits(len(entries), width)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "row_targets", rows)
         object.__setattr__(self, "col_targets", cols)

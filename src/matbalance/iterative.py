@@ -29,7 +29,6 @@ from .core import (
     max_abs_residual,
 )
 
-CONVERGENCE_METRICS = ("successive_frobenius", "max_marginal_residual")
 GAUGE_KINDS = ("unit_row_factor", "unit_col_factor")
 
 
@@ -45,7 +44,7 @@ class NotConverged(MatrixBalanceError):
 
 
 class FactorsUnavailable(MatrixBalanceError):
-    """The result was produced without factor tracking."""
+    """The result carries no scaling factors, as the singular 2x2 closed form gives none."""
 
 
 class NonPositiveLambda(MatrixBalanceError, ValueError):
@@ -56,25 +55,20 @@ class NonPositiveLambda(MatrixBalanceError, ValueError):
 class IterationConfig:
     """Stopping rule for the fixed-point iteration.
 
-    ``successive_frobenius`` stops on the Frobenius norm of the difference
-    between successive iterates; ``max_marginal_residual`` stops on the
-    largest absolute row/column sum defect.  Either way the converged flag
-    additionally requires every residual to be within tolerance relative to
-    its target, which is the contract callers actually care about.
+    The iteration stops once the Frobenius norm of the difference between
+    successive iterates is below ``tolerance`` and every row/column residual
+    is within ``tolerance`` relative to its target, which is the contract
+    callers actually care about.
     """
 
     tolerance: float = 1e-9
     max_iterations: int = 1000
-    convergence_metric: str = "successive_frobenius"
-    track_factors: bool = True
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_metric not in CONVERGENCE_METRICS:
-            raise ValueError(f"convergence_metric must be one of {CONVERGENCE_METRICS}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +83,14 @@ class GaugeFix:
             raise ValueError(f"gauge kind must be one of {GAUGE_KINDS}")
         if self.index < 0:
             raise ValueError("gauge index must be >= 0")
+
+    def check_fits(self, rows: int, cols: int) -> None:
+        """Raise ShapeMismatch unless the pinned factor exists in a ``rows x cols`` problem."""
+        if self.kind == "unit_row_factor":
+            if self.index >= rows:
+                raise ShapeMismatch(f"row gauge index {self.index} for {rows} rows")
+        elif self.index >= cols:
+            raise ShapeMismatch(f"col gauge index {self.index} for {cols} cols")
 
 
 # Row blocks of the Frobenius difference hold about 64k entries, so their
@@ -121,9 +123,9 @@ def _successive_frobenius(
 def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None = None) -> ScaledResult:
     """Run row-then-column scaling sweeps until the marginals are met.
 
-    Returns a converged :class:`~matbalance.core.ScaledResult`; the factors
-    field (when tracked) reproduces the result matrix through
-    :func:`~matbalance.core.apply_scaling` exactly.
+    Returns a converged :class:`~matbalance.core.ScaledResult` whose factors
+    reproduce its matrix through :func:`~matbalance.core.apply_scaling`
+    exactly.
 
     Raises:
         NotConverged: the iteration budget ran out first; the partial result
@@ -138,7 +140,6 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     col_targets = instance.marginals.col_targets
     row_gate = config.tolerance * np.maximum(1.0, row_targets)
     col_gate = config.tolerance * np.maximum(1.0, col_targets)
-    frobenius = config.convergence_metric == "successive_frobenius"
 
     r = np.ones(instance.rows)
     c = np.ones(instance.cols)
@@ -169,9 +170,7 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
             residuals_ok = bool(
                 np.all(np.abs(row_res) <= row_gate) and np.all(np.abs(col_res) <= col_gate)
             )
-            if not frobenius:
-                metric = max(float(np.max(np.abs(row_res))), float(np.max(np.abs(col_res))))
-            elif residuals_ok or iterations == config.max_iterations:
+            if residuals_ok or iterations == config.max_iterations:
                 # Both stop conditions must hold, so the O(nm) norm is only
                 # worth computing once the O(n+m) residual test has passed.
                 metric = _successive_frobenius(entries, *previous, r, c)
@@ -183,7 +182,7 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     matrix = apply_scaling(instance.matrix, factors)
     result = ScaledResult(
         matrix=matrix,
-        factors=factors if config.track_factors else None,
+        factors=factors,
         iterations=iterations,
         max_marginal_residual=max_abs_residual(matrix, instance.marginals),
         converged=converged,
@@ -206,16 +205,13 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     few ulps of the result matrix.
     """
     if result.factors is None:
-        raise FactorsUnavailable("result was produced with track_factors disabled")
+        raise FactorsUnavailable(f"the {result.method} result carries no scaling factors")
+    gauge.check_fits(instance.rows, instance.cols)
     r = result.factors.row_factors
     c = result.factors.col_factors
     if gauge.kind == "unit_row_factor":
-        if gauge.index >= instance.rows:
-            raise ShapeMismatch(f"row gauge index {gauge.index} for {instance.rows} rows")
         pivot = r[gauge.index]
         return ScalingPair(r / pivot, c * pivot)
-    if gauge.index >= instance.cols:
-        raise ShapeMismatch(f"col gauge index {gauge.index} for {instance.cols} cols")
     pivot = c[gauge.index]
     return ScalingPair(r * pivot, c / pivot)
 

@@ -14,11 +14,9 @@ from matbalance.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
-    JobSpec,
     ParseError,
     main,
     parse_input,
-    run_job,
     _parse_gauge,
 )
 
@@ -96,6 +94,21 @@ class TestParseInput:
             parse_input(str(path), rows_flag="1,1", cols_flag="1,1")
         assert (err.value.line, err.value.column) == (2, 2)
 
+    @pytest.mark.parametrize("flag, column, field", [
+        ("1,,1", 2, ""), ("1,1,", 3, ""), (",1", 1, ""), ("1,,x", 2, ""), ("1, ,x", 2, ""), ("1,1,x", 3, "x"),
+    ])
+    def test_vector_flag_fields_keep_their_positions(self, csv_doc, flag, column, field):
+        with pytest.raises(ParseError) as err:
+            parse_input(csv_doc, rows_flag=flag, cols_flag="1,1")
+        assert (err.value.line, err.value.column) == (1, column)
+        assert f"not a number: {field!r}" in str(err.value)
+
+    def test_empty_field_in_vector_flag_exits_2(self, capsys, csv_doc):
+        code, out, err = run_main(capsys, ["scale", csv_doc, "--rows", "1,,1", "--cols", "1,1"])
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: not a number: '' (line 1, column 2)\n"
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             parse_input("/nonexistent/input.json")
@@ -118,14 +131,48 @@ class TestGaugeFlag:
             _parse_gauge(bad)
 
 
-class TestJobSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            JobSpec(command="scale", input_path="x", tolerance=0.0)
-        with pytest.raises(ValueError):
-            JobSpec(command="scale", input_path="x", max_iterations=0)
-        with pytest.raises(ValueError):
-            JobSpec(command="scale", input_path="x", seed=2**64)
+class TestFlagValidation:
+    # The 2x2 input has a closed form, so scale-tol shows that --tol is
+    # checked before any route is chosen.
+    @pytest.mark.parametrize("argv, message", [
+        (["scale", "{pair}", "--tol", "0"], "tolerance must be > 0"),
+        (["scale", "{pair}", "--max-iters", "0"], "max_iterations must be >= 1"),
+        (["compare", "{pair}", "--tol=-1e-9"], "tolerance must be > 0"),
+        (["degree-check", "--seed", str(2**64)], "seed must fit in 64 bits"),
+        (["degree-check", "--seed=-1"], "seed must fit in 64 bits"),
+        (["degree-check", "--count", "0"], "--count must be >= 1, got 0"),
+        (["degree-check", "--count=-2"], "--count must be >= 1, got -2"),
+        (["degree-check", "--gauge", "r,9"], "--gauge cannot be used without an input file"),
+        (["degree-check", "--rows", "1,1", "--cols", "1,1"], "--rows, --cols cannot be used without an input file"),
+        (["degree-check", "{pair}", "--seed", "1"], "--seed cannot be used with an input file"),
+        (["degree-check", "{pair}", "--count", "2"], "--count cannot be used with an input file"),
+    ], ids=[
+        "scale-tol", "scale-max-iters", "compare-tol", "seed-too-large", "seed-negative", "count-zero",
+        "count-negative", "seeded-gauge", "seeded-rows-cols", "file-seed", "file-count",
+    ])
+    def test_bad_value_exits_2(self, capsys, json_doc, argv, message):
+        argv = [arg.format(pair=json_doc) for arg in argv]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out, err) == (EXIT_INVALID_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["scale", "{pair}", "--count", "3"],
+        ["scale", "{pair}", "--seed", "1"],
+        ["scale", "{pair}", "--gauge", "c,1"],
+        ["compare", "{pair}", "--method", "closed-form"],
+        ["compare", "{pair}", "--gauge", "c,1"],
+        ["factors", "{pair}", "--count", "3"],
+        ["degree-check", "--tol", "0"],
+        ["degree-check", "--method", "iterative"],
+        ["degree-check", "--max-iters", "5"],
+        ["degree-check", "--singularity-threshold", "0.1"],
+    ])
+    def test_flag_of_another_command_is_a_usage_error(self, capsys, json_doc, argv):
+        argv = [arg.format(pair=json_doc) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_INVALID_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestScaleCommand:
@@ -344,6 +391,32 @@ class TestDegreeCheckCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "rows,cols,bound,max_observed,within_bound"
         assert len(lines) == 5
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenStdout:
+    """Stdout bytes of commands whose output does not depend on BLAS.
+
+    The files under ``tests/golden/`` hold the expected bytes; any
+    difference is a change in the output format.
+    """
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("scale_2x2.json", ["scale", "{pair}"]),
+        ("scale_2x2.csv", ["scale", "{pair}", "--format", "csv"]),
+        ("factors_2x2.json", ["factors", "{pair}"]),
+        ("factors_2x2.csv", ["factors", "{pair}", "--format", "csv"]),
+        ("scale_singular.json", ["scale", "{singular}", "--rows", "1,1", "--cols", "1,1"]),
+        ("degree_check.json", ["degree-check", "--seed", "42", "--count", "3"]),
+        ("degree_check.csv", ["degree-check", "--seed", "42", "--count", "3", "--format", "csv"]),
+    ])
+    def test_matches_recorded_bytes(self, capsys, json_doc, csv_doc, golden, argv):
+        argv = [arg.format(pair=json_doc, singular=csv_doc) for arg in argv]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 class TestDeterminism:

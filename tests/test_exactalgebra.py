@@ -10,6 +10,7 @@ from matbalance import (
     Marginals,
     MissingAssignment,
     MultivariatePolynomial,
+    NonPositiveInput,
     NotConverged,
     NotZeroDimensional,
     PositiveMatrix,
@@ -498,6 +499,40 @@ class TestRationalInstances:
                 col_targets=(Fraction(1),),
                 gauge=GaugeFix("unit_row_factor", 0),
             )
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 3)])
+    @pytest.mark.parametrize("where", ["entries", "row_targets", "col_targets"])
+    def test_nonpositive_data_raises_typed_error(self, bad, where):
+        data = {
+            "entries": ((Fraction(1), Fraction(2)),),
+            "row_targets": (Fraction(3),),
+            "col_targets": (Fraction(1), Fraction(2)),
+        }
+        if where == "entries":
+            data[where] = ((Fraction(1), bad),)
+        else:
+            data[where] = data[where][:-1] + (bad,)
+        with pytest.raises(NonPositiveInput, match="strictly positive"):
+            RationalInstance(**data, gauge=GaugeFix("unit_row_factor", 0))
+
+    @pytest.mark.parametrize("gauge, message", [
+        (GaugeFix("unit_row_factor", 2), "row gauge index 2 for 2 rows"),
+        (GaugeFix("unit_col_factor", 3), "col gauge index 3 for 3 cols"),
+    ])
+    def test_gauge_index_checked_as_in_extract_factors(self, gauge, message):
+        from matbalance import ShapeMismatch
+
+        entries = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]]
+        with pytest.raises(ShapeMismatch, match=message):
+            RationalInstance(
+                entries=tuple(tuple(Fraction(v) for v in row) for row in entries),
+                row_targets=(Fraction(3), Fraction(3)),
+                col_targets=(Fraction(2), Fraction(2), Fraction(2)),
+                gauge=gauge,
+            )
+        inst = validate_instance(PositiveMatrix(entries), Marginals([3, 3], [2, 2, 2]))
+        with pytest.raises(ShapeMismatch, match=message):
+            extract_factors(inst, sinkhorn_iterate(inst), gauge)
 
 
 class TestFloatCounterpartOfInconsistency:
