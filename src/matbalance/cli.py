@@ -126,6 +126,7 @@ def parse_input(
 
     Raises:
         ParseError: malformed document, with 1-based line/column.
+        ShapeMismatch: the matrix is empty or its rows differ in length.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -134,23 +135,41 @@ def parse_input(
         raise ParseError(f"cannot read {path}: {exc}", 1, 1) from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _parse_json_document(text, rows_flag, cols_flag, exact)
-    return _parse_csv_matrix(text, rows_flag, cols_flag, exact)
+        matrix, row_sums, col_sums = _parse_json_document(text, rows_flag, cols_flag, exact)
+    else:
+        matrix, row_sums, col_sums = _parse_csv_matrix(text, rows_flag, cols_flag, exact)
+    if not (matrix and matrix[0]):
+        raise ShapeMismatch("matrix must be nonempty")
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise ShapeMismatch("matrix rows have unequal lengths")
+    return matrix, row_sums, col_sums
+
+
+def _is_number_array(value) -> bool:
+    # bool subclasses int, but a JSON true or false is not a number.
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float, Fraction)) and not isinstance(v, bool) for v in value
+    )
+
+
+def _reject_constant(name: str):
+    raise ParseError(f"{name} is not a JSON number", 1, 1)
 
 
 def _parse_json_document(text: str, rows_flag, cols_flag, exact: bool):
+    # NaN and Infinity are not JSON, and no rational has their value.
     try:
         if exact:
-            doc = json.loads(text, parse_float=Fraction, parse_int=Fraction)
+            doc = json.loads(text, parse_float=Fraction, parse_int=Fraction, parse_constant=_reject_constant)
         else:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ParseError("document must be an object with a 'matrix' field", 1, 1)
     matrix = doc["matrix"]
-    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-        raise ParseError("'matrix' must be an array of arrays", 1, 1)
+    if not isinstance(matrix, list) or not all(_is_number_array(row) for row in matrix):
+        raise ParseError("'matrix' must be an array of arrays of numbers", 1, 1)
     has_doc_sums = "row_sums" in doc or "col_sums" in doc
     if has_doc_sums and (rows_flag or cols_flag):
         raise ParseError("targets given both in the document and via flags", 1, 1)
@@ -158,6 +177,9 @@ def _parse_json_document(text: str, rows_flag, cols_flag, exact: bool):
         if "row_sums" not in doc or "col_sums" not in doc:
             raise ParseError("document needs both 'row_sums' and 'col_sums'", 1, 1)
         row_sums, col_sums = doc["row_sums"], doc["col_sums"]
+        for name, sums in (("row_sums", row_sums), ("col_sums", col_sums)):
+            if not _is_number_array(sums):
+                raise ParseError(f"'{name}' must be an array of numbers", 1, 1)
     else:
         if not (rows_flag and cols_flag):
             raise ParseError("matrix-only document requires --rows and --cols", 1, 1)
@@ -353,7 +375,7 @@ def _run_degree_check(args: argparse.Namespace) -> tuple[dict, int]:
 def _degree_check_single(args: argparse.Namespace) -> tuple[dict, int]:
     gauge = _parse_gauge(args.gauge)
     matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols, exact=True)
-    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    rows, cols = len(matrix), len(matrix[0])
     if gauge is None:
         gauge = default_gauge(rows, cols)
     instance = RationalInstance(

@@ -38,16 +38,21 @@ class InconsistentMarginals(MatrixBalanceError, ValueError):
         self.defect = defect
 
 
-def _positive_array(values, name: str, ndim: int) -> np.ndarray:
-    """Coerce to a read-only float array of strictly positive finite entries."""
-    arr = np.array(values, dtype=float)
+def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
+    """Coerce to a read-only float array of strictly positive finite entries.
+
+    With ``copy=False`` a float array is checked and made read-only in place.
+    """
+    arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise ShapeMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeMismatch(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise NonPositiveInput(f"{name} contains NaN or infinite entries")
-    if not np.all(arr > 0):
+    # NaN fails both comparisons, so one min and one max decide; the scans
+    # below only word the error.
+    if not (arr.min() > 0 and arr.max() < np.inf):
+        if not np.all(np.isfinite(arr)):
+            raise NonPositiveInput(f"{name} contains NaN or infinite entries")
         raise NonPositiveInput(f"{name} contains entries <= 0; all values must be > 0")
     arr.setflags(write=False)
     return arr
@@ -131,13 +136,7 @@ class ScaledResult:
     method: str
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        # NaN fails both comparisons.  On failure the copying validator
-        # raises the precise error.
-        if not (matrix.ndim == 2 and matrix.size and matrix.min() > 0 and matrix.max() < np.inf):
-            _positive_array(matrix, "result matrix", 2)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _positive_array(self.matrix, "result matrix", 2, copy=False))
 
 
 @dataclass(frozen=True, eq=False)

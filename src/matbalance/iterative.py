@@ -9,6 +9,18 @@ built once, from the final factors, by :func:`~matbalance.core.apply_scaling`,
 which makes a result bitwise-reproducible from its reported factors.  Row
 and column sums are strictly positive by construction, so the updates
 divide safely without an epsilon guard.
+
+The stop test ``||S1 - S0||_F < tol`` is decided, where it can be, without
+an elementwise pass over ``S``.  With ``alpha = (r1 - r0) / r1``,
+``rho = r0 / r1`` and ``beta = (c1 - c0) / c1``, the difference is
+``S1 * (alpha 1^T + rho beta^T)``, so its squared norm is
+``sum_i alpha_i^2 q_i + 2 alpha_i rho_i u_i + rho_i^2 w_i`` with ``q``, ``u``
+and ``w`` three matrix-vector products with ``B = A * A`` (the Gram route).
+The route answers only when a rounding-error certificate shows that the
+blocked elementwise metric, :func:`_successive_frobenius`, would give the
+same answer.  Otherwise that metric decides, as it does on the last allowed
+sweep, on matrices that fit in one block, and wherever a square leaves the
+normal float range.  So the stop sweep is the same on either route.
 """
 
 from __future__ import annotations
@@ -120,6 +132,94 @@ def _successive_frobenius(
     return math.sqrt(squares)
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# A nonzero alpha_i or beta_j is a difference of two positive normal floats
+# divided by one of them: at least 2**-54 in magnitude, so its square is at
+# least this.
+_MIN_SQUARED_CHANGE = 2.0**-108
+
+
+def _gram_rows(
+    entries: np.ndarray, c0: np.ndarray, r1: np.ndarray, c1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``q``, ``u`` and ``w``: ``r1^2 * (B (c1^2 * beta^k))`` for ``k = 0, 1, 2``, and ``min(B)``.
+
+    ``B = A * A`` is squared one row block at a time, so it is never held
+    whole and each block is read three times from cache.
+    """
+    beta = (c1 - c0) / c1
+    c1_squared = c1 * c1
+    weights = (c1_squared, c1_squared * beta, c1_squared * beta * beta)
+    products = [np.empty(entries.shape[0]) for _ in weights]
+    step = max(1, _FROBENIUS_BLOCK_ENTRIES // entries.shape[1])
+    squares_min = math.inf
+    for lo in range(0, entries.shape[0], step):
+        block = np.square(entries[lo:lo + step])
+        squares_min = min(squares_min, float(block.min()))
+        for product, weight in zip(products, weights):
+            np.dot(block, weight, out=product[lo:lo + step])
+    r1_squared = r1 * r1
+    for product in products:
+        product *= r1_squared
+    return (*products, squares_min)
+
+
+def _gram_stop_test(
+    entries: np.ndarray,
+    r0: np.ndarray,
+    c0: np.ndarray,
+    r1: np.ndarray,
+    c1: np.ndarray,
+    tolerance: float,
+) -> bool | None:
+    """Decide ``_successive_frobenius(A, r0, c0, r1, c1) < tolerance`` from ``B = A * A``.
+
+    Returns None when rounding leaves the answer open.  ``est``, the
+    squared norm evaluated from three matrix-vector products with ``B``, is
+    a sum of row terms that are nonnegative in exact arithmetic.  Row ``i``
+    carries an absolute error of at most ``(cols + 16) * eps / 2`` times
+    ``E_i = (|alpha_i| sqrt(q_i) + rho_i sqrt(w_i))^2``, which bounds the
+    row's absolute terms by Cauchy-Schwarz, and the sums over rows add
+    ``(rows + 2) * eps / 2`` times ``E_i``.  ``spread`` bounds the sum of the
+    ``E_i``, again by Cauchy-Schwarz.  The blocked metric differs from the
+    exact norm by at most ``2 eps ||S1||_F`` from its entry products, a
+    relative ``(rows * cols / 4 + 3) * eps`` from its dot and subtractions,
+    and an absolute ``sqrt(rows * cols) * 2**-537.5`` where its squares
+    underflow.  Each bound below is padded by a factor of two or more.
+
+    The analysis needs every product formed here and in the blocked metric
+    to stay a normal float.  Each such product is at least the product of
+    the lower bounds below, each capped at 1, so that one number is tested.
+    """
+    rows, cols = entries.shape
+    spread_rate = 2.0 * (rows + cols + 18) * _EPS
+    q, u, w, squares_min = _gram_rows(entries, c0, r1, c1)
+    rho = r0 / r1
+    roots = (min(r0.min(), r1.min()), min(c0.min(), c1.min()), rho.min())
+    lower_bounds = (squares_min, _MIN_SQUARED_CHANGE, spread_rate) + tuple(
+        min(1.0, float(root)) ** 2 for root in roots
+    )
+    if math.prod(min(1.0, bound) for bound in lower_bounds) < _TINY:
+        return None
+    alpha = (r1 - r0) / r1
+    alpha_part = float(np.dot(alpha * alpha, q))
+    rho_part = float(np.dot(rho * rho, w))
+    est = alpha_part + 2.0 * float(np.dot(alpha * rho, u)) + rho_part
+    spread = (math.sqrt(alpha_part) + math.sqrt(rho_part)) ** 2
+    norm_s1_squared = float(q.sum())
+    # inf or NaN here means a square or a product overflowed.
+    if not (math.isfinite(est) and math.isfinite(spread) and math.isfinite(norm_s1_squared)):
+        return None
+    dot_rate = (rows * cols / 2 + 6) * _EPS
+    slack = 4.0 * _EPS * math.sqrt(norm_s1_squared) + math.sqrt(rows * cols) * 2.0**-536
+    if math.sqrt(max(est + spread_rate * spread, 0.0)) * (1.0 + dot_rate) + slack < tolerance:
+        return True
+    if math.sqrt(max(est - spread_rate * spread, 0.0)) * (1.0 - dot_rate) - slack > tolerance:
+        return False
+    return None
+
+
 def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None = None) -> ScaledResult:
     """Run row-then-column scaling sweeps until the marginals are met.
 
@@ -140,6 +240,9 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     col_targets = instance.marginals.col_targets
     row_gate = config.tolerance * np.maximum(1.0, row_targets)
     col_gate = config.tolerance * np.maximum(1.0, col_targets)
+    # On one block the blocked metric is a single dot product, as cheap as
+    # the Gram route.
+    gram_route = entries.size > _FROBENIUS_BLOCK_ENTRIES
 
     r = np.ones(instance.rows)
     c = np.ones(instance.cols)
@@ -170,11 +273,18 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
             residuals_ok = bool(
                 np.all(np.abs(row_res) <= row_gate) and np.all(np.abs(col_res) <= col_gate)
             )
-            if residuals_ok or iterations == config.max_iterations:
+            if not residuals_ok and iterations < config.max_iterations:
                 # Both stop conditions must hold, so the O(nm) norm is only
                 # worth computing once the O(n+m) residual test has passed.
+                continue
+            passed = None
+            if gram_route and iterations < config.max_iterations:
+                passed = _gram_stop_test(entries, *previous, r, c, config.tolerance)
+            if passed is None:
+                # The last sweep always lands here, so NotConverged reports a metric.
                 metric = _successive_frobenius(entries, *previous, r, c)
-            if metric < config.tolerance and residuals_ok:
+                passed = metric < config.tolerance
+            if passed and residuals_ok:
                 converged = True
                 break
 

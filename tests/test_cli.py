@@ -117,6 +117,46 @@ class TestParseInput:
         with pytest.raises(ParseError):
             parse_input(json_doc, rows_flag="1,1", cols_flag="1,1")
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("doc, field", [
+        ({"matrix": [[1, 2], [3, 4]], "row_sums": "11", "col_sums": [1, 1]}, "'row_sums'"),
+        ({"matrix": [[1, 2], [3, 4]], "row_sums": [1, 1], "col_sums": 2}, "'col_sums'"),
+        ({"matrix": [[1, 2], [3, 4]], "row_sums": [1, False], "col_sums": [1, 1]}, "'row_sums'"),
+        ({"matrix": [[True, 2], [3, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}, "'matrix'"),
+        ({"matrix": [["1", 2], [3, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}, "'matrix'"),
+        ({"matrix": [[float("inf"), 2], [3, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}, "Infinity"),
+        ({"matrix": [[1, 2], [3, 4]], "row_sums": [float("nan"), 1], "col_sums": [1, 1]}, "NaN"),
+    ])
+    def test_json_fields_must_hold_numbers(self, tmp_path, doc, field, exact):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=field):
+            parse_input(str(path), exact=exact)
+
+    @pytest.mark.parametrize("command", ["scale", "degree-check"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"matrix": [[1, 2], [3]], "row_sums": [1, 1], "col_sums": [1, 1]}, "matrix rows have unequal lengths"),
+        ({"matrix": [], "row_sums": [1], "col_sums": [1]}, "matrix must be nonempty"),
+        ({"matrix": [[]], "row_sums": [1], "col_sums": [1]}, "matrix must be nonempty"),
+        ({"matrix": [[True, 2], [3, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}, "'matrix' must be an array"),
+        ({"matrix": [[1, 2], [3, 4]], "row_sums": "11", "col_sums": [1, 1]}, "'row_sums' must be an array"),
+        ({"matrix": [[float("inf"), 2], [3, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}, "Infinity is not"),
+    ])
+    def test_malformed_json_is_a_typed_error(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, [command, str(path)])
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    def test_ragged_csv_is_a_typed_error(self, capsys, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2\n3\n")
+        code, _, err = run_main(capsys, ["scale", str(path), "--rows", "1,1", "--cols", "1,1"])
+        assert code == EXIT_INVALID_INPUT
+        assert err == "error: matrix rows have unequal lengths\n"
+
 
 class TestGaugeFlag:
     def test_parse(self):

@@ -23,7 +23,8 @@ from matbalance import (
     validate_instance,
 )
 
-from matbalance.iterative import _successive_frobenius
+import matbalance.iterative as iterative
+from matbalance.iterative import _gram_stop_test, _successive_frobenius
 
 from conftest import assert_within_ulps, nathanson_limit, random_instance, random_marginals
 
@@ -51,6 +52,54 @@ EXTREME_SCALE_CASES = [
 
 def unit_2x2(entries):
     return validate_instance(PositiveMatrix(entries), Marginals([1, 1], [1, 1]))
+
+
+def blocked_reference(instance, config):
+    """The sweeps of ``sinkhorn_iterate`` with every stop test decided by the blocked metric.
+
+    Returns the stop sweep, the factors and the metric at the stop sweep.
+    """
+    entries = instance.matrix.entries
+    row_targets = instance.marginals.row_targets
+    col_targets = instance.marginals.col_targets
+    row_gate = config.tolerance * np.maximum(1.0, row_targets)
+    col_gate = config.tolerance * np.maximum(1.0, col_targets)
+    r, c = np.ones(instance.rows), np.ones(instance.cols)
+    a_c = entries @ c
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for sweep in range(1, config.max_iterations + 1):
+            previous = r, c
+            r = row_targets / a_c
+            at_r = entries.T @ r
+            c = col_targets / at_r
+            a_c = entries @ c
+            if np.all(np.abs(r * a_c - row_targets) <= row_gate) and np.all(
+                np.abs(c * at_r - col_targets) <= col_gate
+            ):
+                metric = _successive_frobenius(entries, *previous, r, c)
+                if metric < config.tolerance:
+                    return sweep, r, c, metric
+    raise AssertionError("the reference loop did not converge")
+
+
+def lognormal_instance(shape, scale=1.0):
+    """sigma-2 lognormal entries times ``scale``; "split" spreads rows and columns over 1e100."""
+    rng = np.random.default_rng(5)
+    entries = np.exp(2.0 * rng.standard_normal(shape))
+    if scale == "split":
+        entries *= np.outer(np.logspace(-100, 0, shape[0]), np.logspace(0, -100, shape[1]))
+    else:
+        entries *= scale
+    return validate_instance(PositiveMatrix(entries), random_marginals(rng, *shape))
+
+
+def assert_matches_reference(instance, config):
+    sweep, r, c, _ = blocked_reference(instance, config)
+    result = sinkhorn_iterate(instance, config)
+    assert result.iterations == sweep
+    np.testing.assert_array_equal(result.factors.row_factors, r)
+    np.testing.assert_array_equal(result.factors.col_factors, c)
+    np.testing.assert_array_equal(result.matrix, (r[:, None] * instance.matrix.entries) * c)
 
 
 class TestConfig:
@@ -204,6 +253,86 @@ class TestSinkhornIterate:
         result = sinkhorn_iterate(unit_2x2([[1, 2], [3, 4]]))
         assert 1 <= result.iterations <= 1000
         assert result.method == "iterative"
+
+
+# Both span several blocks of the blocked metric, so the Gram route runs.
+MULTI_BLOCK_SHAPES = [(300, 400), (1000, 70)]
+
+
+class TestGramStopTest:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape", MULTI_BLOCK_SHAPES)
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100, 1e150, 1e-150, 1e300, 1e-300, "split"])
+    def test_matches_blocked_reference_bit_for_bit(self, shape, scale):
+        assert_matches_reference(lognormal_instance(shape, scale), IterationConfig())
+
+    @pytest.mark.parametrize("shape", MULTI_BLOCK_SHAPES)
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
+    def test_decides_without_the_blocked_metric(self, monkeypatch, shape, scale):
+        def blocked_metric(*args):
+            raise AssertionError("the blocked metric ran")
+
+        monkeypatch.setattr(iterative, "_successive_frobenius", blocked_metric)
+        assert sinkhorn_iterate(lognormal_instance(shape, scale)).converged
+
+    def test_not_converged_reports_the_blocked_metric(self):
+        # The last sweep's metric comes from the blocked test even where the
+        # Gram route could decide it.
+        with pytest.raises(NotConverged) as err:
+            sinkhorn_iterate(lognormal_instance((300, 400)), IterationConfig(max_iterations=2))
+        metric = re.search(r"metric (\S+),", str(err.value))
+        assert metric is not None
+        assert np.isfinite(float(metric.group(1)))
+
+    @pytest.mark.parametrize("shape", MULTI_BLOCK_SHAPES)
+    def test_tolerance_at_the_metric_falls_back(self, monkeypatch, shape):
+        instance = lognormal_instance(shape)
+        _, _, _, metric = blocked_reference(instance, IterationConfig())
+        calls = []
+        monkeypatch.setattr(
+            iterative, "_successive_frobenius", lambda *args: calls.append(args) or _successive_frobenius(*args)
+        )
+        sweeps = []
+        for tolerance in (metric, np.nextafter(metric, np.inf)):
+            config = IterationConfig(tolerance=float(tolerance))
+            assert_matches_reference(instance, config)
+            sweeps.append(blocked_reference(instance, config)[0])
+        # At tolerance == metric that sweep fails the test, one ulp above it passes.
+        assert sweeps[0] > sweeps[1]
+        assert calls
+
+    @pytest.mark.parametrize("step", ["generic", "near-gauge", "one-ulp", "split-range"])
+    def test_certificate_never_contradicts_the_blocked_metric(self, step):
+        rng = np.random.default_rng(3)
+        # With rows and columns spread over 1e82, squares in one corner of
+        # A * A are subnormal and lose their precision; the range guard must
+        # see it.
+        row_spread = np.logspace(-82, 0, 300) if step == "split-range" else np.ones(300)
+        col_spread = np.logspace(-82, 0, 250) if step == "split-range" else np.ones(250)
+        for _ in range(8):
+            entries = np.exp(rng.normal(0.0, 2.0, (300, 250))) * np.outer(row_spread, col_spread)
+            r0 = np.exp(rng.normal(0.0, 2.0, 300)) / row_spread
+            c0 = np.exp(rng.normal(0.0, 2.0, 250)) / col_spread
+            change = 10.0 ** rng.uniform(-15.0, -2.0)
+            if step in ("generic", "split-range"):
+                r1 = r0 * (1.0 + change * rng.standard_normal(300))
+                c1 = c0 * (1.0 + change * rng.standard_normal(250))
+            elif step == "near-gauge":
+                # S1 - S0 cancels almost entirely, so the certificate is wide.
+                r1 = r0 * (1.0 + change) * (1.0 + 1e-6 * change * rng.standard_normal(300))
+                c1 = c0 / (1.0 + change)
+            else:
+                # The blocked metric is its own rounding error here.
+                r1, c1 = np.nextafter(r0, np.inf), c0
+            metric = _successive_frobenius(entries, r0, c0, r1, c1)
+            answers = {}
+            tolerances = (metric, np.nextafter(metric, np.inf), metric * (1 - 1e-3), metric * (1 + 1e-3))
+            for tolerance in tolerances + (metric * 0.5, metric * 2):
+                answers[tolerance] = _gram_stop_test(entries, r0, c0, r1, c1, float(tolerance))
+                assert answers[tolerance] in (None, metric < tolerance)
+            assert answers[metric] is None
+            if step == "generic":
+                assert (answers[metric * 0.5], answers[metric * 2]) == (False, True)
 
 
 class TestExtractFactors:
