@@ -8,6 +8,7 @@ Groebner engine that certifies the algebraic degree of the limit entries.
 
 from .core import (
     DEFAULT_CONSISTENCY_TOL,
+    GaugeFix,
     InconsistentMarginals,
     Marginals,
     MatrixBalanceError,
@@ -18,6 +19,7 @@ from .core import (
     ShapeMismatch,
     ValidatedInstance,
     apply_scaling,
+    default_gauge,
     max_abs_residual,
     residuals,
     transpose_instance,
@@ -25,7 +27,6 @@ from .core import (
 )
 from .iterative import (
     FactorsUnavailable,
-    GaugeFix,
     IterationConfig,
     NonPositiveLambda,
     NotConverged,
@@ -61,7 +62,6 @@ from .exactalgebra import (
     UnitIdeal,
     buchberger,
     build_scaling_ideal,
-    default_gauge,
     elimination_degree,
     normal_form,
     random_inconsistent_instance,

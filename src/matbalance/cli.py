@@ -40,18 +40,18 @@ import numpy as np
 from .closedform import (
     DEFAULT_SINGULARITY_THRESHOLD,
     UnsupportedShape,
-    WrongShape,
     closed_form_dispatch,
 )
 from .core import (
+    GaugeFix,
     InconsistentMarginals,
     Marginals,
     MatrixBalanceError,
-    NonPositiveInput,
     PositiveMatrix,
     ScaledResult,
-    ShapeMismatch,
     ValidatedInstance,
+    check_grid,
+    default_gauge,
     residuals,
     validate_instance,
 )
@@ -61,12 +61,10 @@ from .exactalgebra import (
     UnitIdeal,
     buchberger,
     build_scaling_ideal,
-    default_gauge,
     elimination_degree,
     random_rational_instance,
 )
 from .iterative import (
-    GaugeFix,
     IterationConfig,
     NotConverged,
     extract_factors,
@@ -102,11 +100,17 @@ def _parse_number(text: str, exact: bool, line: int, column: int):
         if exact:
             return Fraction(text)
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
-            return float(Fraction(text))
+            value = float(Fraction(text))
+        if math.isfinite(value):
+            return value
+        Fraction(text)  # inf and nan are float literals, but not numbers on either route
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a number: {text!r}", line, column) from None
+    except OverflowError:
+        pass
+    raise ParseError(f"outside the float range: {text!r}", line, column)
 
 
 def _parse_vector_flag(flag: str, exact: bool):
@@ -133,16 +137,18 @@ def parse_input(
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", 1, 1) from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        matrix, row_sums, col_sums = _parse_json_document(text, rows_flag, cols_flag, exact)
+    if text.lstrip().startswith("{"):
+        matrix, sums = _parse_json_document(text, exact)
     else:
-        matrix, row_sums, col_sums = _parse_csv_matrix(text, rows_flag, cols_flag, exact)
-    if not (matrix and matrix[0]):
-        raise ShapeMismatch("matrix must be nonempty")
-    if any(len(row) != len(matrix[0]) for row in matrix):
-        raise ShapeMismatch("matrix rows have unequal lengths")
-    return matrix, row_sums, col_sums
+        matrix, sums = _parse_csv_matrix(text, exact)
+    if sums and (rows_flag or cols_flag):
+        raise ParseError("targets given both in the document and via flags", 1, 1)
+    if not sums:
+        if not (rows_flag and cols_flag):
+            raise ParseError("matrix-only input requires --rows and --cols", 1, 1)
+        sums = _parse_vector_flag(rows_flag, exact), _parse_vector_flag(cols_flag, exact)
+    check_grid(matrix)
+    return matrix, *sums
 
 
 def _is_number_array(value) -> bool:
@@ -156,7 +162,7 @@ def _reject_constant(name: str):
     raise ParseError(f"{name} is not a JSON number", 1, 1)
 
 
-def _parse_json_document(text: str, rows_flag, cols_flag, exact: bool):
+def _parse_json_document(text: str, exact: bool):
     # NaN and Infinity are not JSON, and no rational has their value.
     try:
         if exact:
@@ -170,25 +176,17 @@ def _parse_json_document(text: str, rows_flag, cols_flag, exact: bool):
     matrix = doc["matrix"]
     if not isinstance(matrix, list) or not all(_is_number_array(row) for row in matrix):
         raise ParseError("'matrix' must be an array of arrays of numbers", 1, 1)
-    has_doc_sums = "row_sums" in doc or "col_sums" in doc
-    if has_doc_sums and (rows_flag or cols_flag):
-        raise ParseError("targets given both in the document and via flags", 1, 1)
-    if has_doc_sums:
-        if "row_sums" not in doc or "col_sums" not in doc:
-            raise ParseError("document needs both 'row_sums' and 'col_sums'", 1, 1)
-        row_sums, col_sums = doc["row_sums"], doc["col_sums"]
-        for name, sums in (("row_sums", row_sums), ("col_sums", col_sums)):
-            if not _is_number_array(sums):
-                raise ParseError(f"'{name}' must be an array of numbers", 1, 1)
-    else:
-        if not (rows_flag and cols_flag):
-            raise ParseError("matrix-only document requires --rows and --cols", 1, 1)
-        row_sums = _parse_vector_flag(rows_flag, exact)
-        col_sums = _parse_vector_flag(cols_flag, exact)
-    return matrix, row_sums, col_sums
+    if "row_sums" not in doc and "col_sums" not in doc:
+        return matrix, None
+    if "row_sums" not in doc or "col_sums" not in doc:
+        raise ParseError("document needs both 'row_sums' and 'col_sums'", 1, 1)
+    for name in ("row_sums", "col_sums"):
+        if not _is_number_array(doc[name]):
+            raise ParseError(f"'{name}' must be an array of numbers", 1, 1)
+    return matrix, (doc["row_sums"], doc["col_sums"])
 
 
-def _parse_csv_matrix(text: str, rows_flag, cols_flag, exact: bool):
+def _parse_csv_matrix(text: str, exact: bool):
     matrix = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -200,11 +198,7 @@ def _parse_csv_matrix(text: str, rows_flag, cols_flag, exact: bool):
         matrix.append(row)
     if not matrix:
         raise ParseError("empty matrix", 1, 1)
-    if not (rows_flag and cols_flag):
-        raise ParseError("CSV input requires --rows and --cols target flags", 1, 1)
-    row_sums = _parse_vector_flag(rows_flag, exact)
-    col_sums = _parse_vector_flag(cols_flag, exact)
-    return matrix, row_sums, col_sums
+    return matrix, None
 
 
 def _parse_gauge(flag: str | None) -> GaugeFix | None:
@@ -376,14 +370,7 @@ def _degree_check_single(args: argparse.Namespace) -> tuple[dict, int]:
     gauge = _parse_gauge(args.gauge)
     matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols, exact=True)
     rows, cols = len(matrix), len(matrix[0])
-    if gauge is None:
-        gauge = default_gauge(rows, cols)
-    instance = RationalInstance(
-        entries=tuple(tuple(v for v in row) for row in matrix),
-        row_targets=tuple(row_sums),
-        col_targets=tuple(col_sums),
-        gauge=gauge,
-    )
+    instance = RationalInstance(matrix, row_sums, col_sums, gauge or default_gauge(rows, cols))
     basis = buchberger(build_scaling_ideal(instance))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -471,9 +458,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, code = args.run(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except InconsistentMarginals as exc:
         print(f"error: inconsistent marginals: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -483,7 +467,8 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
-    except (NonPositiveInput, ShapeMismatch, WrongShape, UnsupportedShape, UnitIdeal, ValueError) as exc:
+    except (UnitIdeal, ValueError) as exc:
+        # ParseError and every typed input error (shape, positivity) are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except MatrixBalanceError as exc:

@@ -23,14 +23,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_CONSISTENCY_TOL,
-    InconsistentMarginals,
     Marginals,
     MatrixBalanceError,
     ScaledResult,
     ScalingPair,
     ValidatedInstance,
     max_abs_residual,
-    transpose_instance,
 )
 
 # |det| <= threshold * alpha routes to the singular formula.
@@ -85,6 +83,11 @@ def _require_shape(instance: ValidatedInstance, rows: int | None, cols: int | No
         raise WrongShape(f"{what} requires {rows} row(s), got {instance.rows}")
     if cols is not None and instance.cols != cols:
         raise WrongShape(f"{what} requires {cols} column(s), got {instance.cols}")
+
+
+def _result(matrix: np.ndarray, factors: ScalingPair | None, marginals: Marginals, method: str) -> ScaledResult:
+    """A closed-form result: no iterations, converged, with its measured residual."""
+    return ScaledResult(matrix, factors, 0, max_abs_residual(matrix, marginals), True, method)
 
 
 def _discriminant(alpha: float, beta: float, det: float, r2t: float, c1t: float, c2t: float) -> float:
@@ -153,34 +156,17 @@ def closed_form_1xn(instance: ValidatedInstance) -> ScaledResult:
     _require_shape(instance, 1, None, "closed_form_1xn")
     col_targets = instance.marginals.col_targets
     matrix = col_targets[None, :].copy()
-    factors = ScalingPair(
-        np.ones(1), col_targets / instance.matrix.entries[0, :]
-    )
-    return ScaledResult(
-        matrix=matrix,
-        factors=factors,
-        iterations=0,
-        max_marginal_residual=max_abs_residual(matrix, instance.marginals),
-        converged=True,
-        method="closed_form_1xn",
-    )
+    factors = ScalingPair(np.ones(1), col_targets / instance.matrix.entries[0, :])
+    return _result(matrix, factors, instance.marginals, "closed_form_1xn")
 
 
 def closed_form_nx1(instance: ValidatedInstance) -> ScaledResult:
-    """Single-column limit via the transposed single-row formula."""
+    """Single-column limit: the column of row targets, the transposed single-row formula."""
     _require_shape(instance, None, 1, "closed_form_nx1")
-    inner = closed_form_1xn(transpose_instance(instance))
-    factors = None
-    if inner.factors is not None:
-        factors = ScalingPair(inner.factors.col_factors, inner.factors.row_factors)
-    return ScaledResult(
-        matrix=inner.matrix.T,
-        factors=factors,
-        iterations=0,
-        max_marginal_residual=inner.max_marginal_residual,
-        converged=True,
-        method="transposed_delegate",
-    )
+    row_targets = instance.marginals.row_targets
+    matrix = row_targets[:, None].copy()
+    factors = ScalingPair(row_targets / instance.matrix.entries[:, 0], np.ones(1))
+    return _result(matrix, factors, instance.marginals, "transposed_delegate")
 
 
 def _entries_2x2(instance: ValidatedInstance, data: QuadraticData) -> tuple[float, float, float, float]:
@@ -218,7 +204,6 @@ def closed_form_2x2(
     means the branch analysis failed for this input and is surfaced as
     :class:`NonPositiveRoot` instead of silently switching branches.
     """
-    _require_shape(instance, 2, 2, "closed_form_2x2")
     data = quadratic_data(instance)
     if abs(data.det) <= singularity_threshold * data.alpha:
         raise NearSingular(
@@ -247,14 +232,7 @@ def _nonsingular_2x2(instance: ValidatedInstance, data: QuadraticData) -> Scaled
         np.array([s12 / a[0, 1], s22 / a[1, 1]]),
         np.array([s21 * a[1, 1] / (a[1, 0] * s22), 1.0]),
     )
-    return ScaledResult(
-        matrix=matrix,
-        factors=factors,
-        iterations=0,
-        max_marginal_residual=max_abs_residual(matrix, instance.marginals),
-        converged=True,
-        method="closed_form_2x2",
-    )
+    return _result(matrix, factors, instance.marginals, "closed_form_2x2")
 
 
 def closed_form_2x2_singular(
@@ -269,23 +247,14 @@ def closed_form_2x2_singular(
     """
     if marginals.row_targets.size != 2 or marginals.col_targets.size != 2:
         raise WrongShape("singular closed form requires 2 row and 2 col targets")
-    if not marginals.is_consistent(consistency_tol):
-        defect = marginals.consistency_defect()
-        raise InconsistentMarginals(f"target totals differ by {defect!r}", defect=defect)
+    marginals.check_consistent(consistency_tol)
     r2t = marginals.row_targets[1]
     c1t, c2t = marginals.col_targets
     ctotal = c1t + c2t
     s21 = c1t * r2t / ctotal
     s22 = c2t * r2t / ctotal
     matrix = np.array([[c1t - s21, c2t - s22], [s21, s22]])
-    return ScaledResult(
-        matrix=matrix,
-        factors=None,
-        iterations=0,
-        max_marginal_residual=max_abs_residual(matrix, marginals),
-        converged=True,
-        method="closed_form_2x2_singular",
-    )
+    return _result(matrix, None, marginals, "closed_form_2x2_singular")
 
 
 def closed_form_dispatch(

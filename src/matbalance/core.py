@@ -2,8 +2,14 @@
 
 A balancing problem is a strictly positive matrix together with target row
 and column sums.  A solution exists only when the two target totals agree,
-so instances are validated once (shape + consistency) and the resulting
-:class:`ValidatedInstance` is the sole currency accepted by the solvers.
+so instances are validated once and the resulting :class:`ValidatedInstance`
+is the sole currency accepted by the solvers.  Each validation decision of
+both input routes, float and exact, has its one home here, so the two raise
+the same typed errors in the same words: shape (:func:`check_grid`,
+:func:`check_target_lengths`), positivity (:func:`nonpositive_error`),
+consistency (:meth:`Marginals.check_consistent`) and the gauge
+(:class:`GaugeFix`, :func:`default_gauge`).  This module imports no other
+module of the package.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -12,10 +18,12 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 DEFAULT_CONSISTENCY_TOL = 1e-9
+GAUGE_KINDS = ("unit_row_factor", "unit_col_factor")
 
 
 class MatrixBalanceError(Exception):
@@ -38,6 +46,29 @@ class InconsistentMarginals(MatrixBalanceError, ValueError):
         self.defect = defect
 
 
+def check_grid(grid) -> tuple[int, int]:
+    """Shape of a matrix given as a sequence of rows; ShapeMismatch unless nonempty and rectangular."""
+    if not (len(grid) and len(grid[0])):
+        raise ShapeMismatch("matrix must be nonempty")
+    width = len(grid[0])
+    if any(len(row) != width for row in grid):
+        raise ShapeMismatch("matrix rows have unequal lengths")
+    return len(grid), width
+
+
+def check_target_lengths(rows: int, cols: int, row_targets: int, col_targets: int) -> None:
+    """Raise ShapeMismatch unless there is one target per row and one per column."""
+    if row_targets != rows:
+        raise ShapeMismatch(f"{row_targets} row targets for a matrix with {rows} rows")
+    if col_targets != cols:
+        raise ShapeMismatch(f"{col_targets} col targets for a matrix with {cols} cols")
+
+
+def nonpositive_error(name: str) -> NonPositiveInput:
+    """The error for a zero or negative entry of ``name``, float or exact."""
+    return NonPositiveInput(f"{name} contains entries <= 0; all values must be strictly positive")
+
+
 def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
     """Coerce to a read-only float array of strictly positive finite entries.
 
@@ -53,7 +84,7 @@ def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarr
     if not (arr.min() > 0 and arr.max() < np.inf):
         if not np.all(np.isfinite(arr)):
             raise NonPositiveInput(f"{name} contains NaN or infinite entries")
-        raise NonPositiveInput(f"{name} contains entries <= 0; all values must be > 0")
+        raise nonpositive_error(name)
     arr.setflags(write=False)
     return arr
 
@@ -65,6 +96,9 @@ class PositiveMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        # Rows given as lists are a grid to check, as on the exact route.
+        if isinstance(self.entries, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in self.entries):
+            check_grid(self.entries)
         object.__setattr__(self, "entries", _positive_array(self.entries, "matrix", 2))
 
     @property
@@ -90,17 +124,73 @@ class Marginals:
         object.__setattr__(self, "row_targets", _positive_array(self.row_targets, "row_targets", 1))
         object.__setattr__(self, "col_targets", _positive_array(self.col_targets, "col_targets", 1))
 
+    @cached_property
+    def _totals(self) -> tuple[float, float, float]:
+        """``(row total, col total, divisor)``, each target total summed once.
+
+        The divisor is 1 unless a total leaves the float range; then both are
+        summed again over the targets divided by a power of two, so finite
+        totals keep their bits and consistency stays decidable.
+        """
+        rows, cols, scale = self.row_targets, self.col_targets, 1.0
+        with np.errstate(over="ignore"):
+            row, col = float(np.add.reduce(rows)), float(np.add.reduce(cols))
+            if not (row < np.inf and col < np.inf):
+                # n finite targets sum to less than 2**bit_length(n) times the largest float.
+                scale = 2.0 ** (max(rows.size, cols.size).bit_length() + 1)
+                row, col = float(np.add.reduce(rows / scale)), float(np.add.reduce(cols / scale))
+        return row, col, scale
+
     def consistency_defect(self) -> float:
         """Absolute gap between the row-target total and the column-target total."""
-        return abs(float(self.row_targets.sum()) - float(self.col_targets.sum()))
+        row, col, scale = self._totals
+        return abs(row - col) * scale
 
     def is_consistent(self, tol: float) -> bool:
         """True when the defect is within ``tol`` relative to the larger total."""
-        scale = max(float(self.row_targets.sum()), float(self.col_targets.sum()))
-        return self.consistency_defect() <= tol * scale
+        row, col, _ = self._totals
+        return abs(row - col) <= tol * max(row, col)
+
+    def check_consistent(self, tol: float) -> None:
+        """Raise InconsistentMarginals unless :meth:`is_consistent` holds at ``tol``."""
+        if not self.is_consistent(tol):
+            row, col, scale = self._totals
+            defect = self.consistency_defect()
+            raise InconsistentMarginals(
+                f"row targets total {row * scale!r} but col targets total {col * scale!r} "
+                f"(defect {defect!r})",
+                defect=defect,
+            )
 
     def swap(self) -> "Marginals":
         return Marginals(self.col_targets, self.row_targets)
+
+
+@dataclass(frozen=True)
+class GaugeFix:
+    """Pin one scaling factor to 1: row factor ``index`` or column factor ``index``."""
+
+    kind: str
+    index: int
+
+    def __post_init__(self):
+        if self.kind not in GAUGE_KINDS:
+            raise ValueError(f"gauge kind must be one of {GAUGE_KINDS}")
+        if self.index < 0:
+            raise ValueError("gauge index must be >= 0")
+
+    def check_fits(self, rows: int, cols: int) -> None:
+        """Raise ShapeMismatch unless the pinned factor exists in a ``rows x cols`` problem."""
+        if self.kind == "unit_row_factor":
+            if self.index >= rows:
+                raise ShapeMismatch(f"row gauge index {self.index} for {rows} rows")
+        elif self.index >= cols:
+            raise ShapeMismatch(f"col gauge index {self.index} for {cols} cols")
+
+
+def default_gauge(rows: int, cols: int) -> GaugeFix:
+    """Pin the last column factor, or the single row factor for one-row shapes."""
+    return GaugeFix("unit_row_factor", 0) if rows == 1 else GaugeFix("unit_col_factor", cols - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +254,7 @@ def validate_instance(
     marginals,
     consistency_tol: float = DEFAULT_CONSISTENCY_TOL,
 ) -> ValidatedInstance:
-    """Check shapes and marginal consistency, returning the solver-ready bundle.
+    """Check target lengths and marginal consistency, returning the solver-ready bundle.
 
     Raises:
         ShapeMismatch: target vector lengths disagree with the matrix shape.
@@ -178,21 +268,8 @@ def validate_instance(
         raise TypeError("marginals must be a Marginals value")
     if consistency_tol < 0:
         raise ValueError("consistency_tol must be >= 0")
-    if marginals.row_targets.size != matrix.rows:
-        raise ShapeMismatch(
-            f"{marginals.row_targets.size} row targets for a matrix with {matrix.rows} rows"
-        )
-    if marginals.col_targets.size != matrix.cols:
-        raise ShapeMismatch(
-            f"{marginals.col_targets.size} col targets for a matrix with {matrix.cols} cols"
-        )
-    if not marginals.is_consistent(consistency_tol):
-        defect = marginals.consistency_defect()
-        raise InconsistentMarginals(
-            f"row targets total {float(marginals.row_targets.sum())!r} but col targets "
-            f"total {float(marginals.col_targets.sum())!r} (defect {defect!r})",
-            defect=defect,
-        )
+    check_target_lengths(matrix.rows, matrix.cols, marginals.row_targets.size, marginals.col_targets.size)
+    marginals.check_consistent(consistency_tol)
     return ValidatedInstance(matrix=matrix, marginals=marginals, consistency_tol=consistency_tol)
 
 
@@ -222,11 +299,7 @@ def residuals(candidate, marginals: Marginals) -> tuple[np.ndarray, np.ndarray]:
     grid = np.asarray(candidate, dtype=float)
     if grid.ndim != 2:
         raise ShapeMismatch(f"candidate must be 2-dimensional, got shape {grid.shape}")
-    if grid.shape != (marginals.row_targets.size, marginals.col_targets.size):
-        raise ShapeMismatch(
-            f"candidate shape {grid.shape} does not match targets "
-            f"({marginals.row_targets.size}, {marginals.col_targets.size})"
-        )
+    check_target_lengths(*grid.shape, marginals.row_targets.size, marginals.col_targets.size)
     return grid.sum(axis=1) - marginals.row_targets, grid.sum(axis=0) - marginals.col_targets
 
 

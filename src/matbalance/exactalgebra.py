@@ -25,8 +25,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ._packed import Divisor, Packing, ResourceLimit, reduce, reduce_basis, s_work, update_pairs
-from .core import MatrixBalanceError, NonPositiveInput, ShapeMismatch
-from .iterative import GaugeFix
+from .core import (
+    GaugeFix,
+    MatrixBalanceError,
+    check_grid,
+    check_target_lengths,
+    default_gauge,
+    nonpositive_error,
+)
 
 # Arbitrary-precision rational: always lowest terms, positive denominator,
 # canonical zero 0/1.  The stdlib type satisfies every invariant we need.
@@ -417,20 +423,15 @@ class RationalInstance:
         entries = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
         rows = tuple(Fraction(v) for v in self.row_targets)
         cols = tuple(Fraction(v) for v in self.col_targets)
-        if not entries or not entries[0]:
-            raise ShapeMismatch("matrix must be nonempty")
-        width = len(entries[0])
-        if any(len(row) != width for row in entries):
-            raise ShapeMismatch("matrix rows have unequal lengths")
-        if len(rows) != len(entries) or len(cols) != width:
-            raise ShapeMismatch(
-                f"targets of lengths ({len(rows)}, {len(cols)}) for a "
-                f"{len(entries)}x{width} matrix"
-            )
-        for value in itertools.chain(rows, cols, *entries):
-            if value <= 0:
-                raise NonPositiveInput(f"all data must be strictly positive, got {value}")
-        self.gauge.check_fits(len(entries), width)
+        # Checked in the order of the float route (matrix, targets, lengths),
+        # so a fault raises the same error on both.
+        height, width = check_grid(entries)
+        for name, values in (("matrix", itertools.chain(*entries)), ("row_targets", rows), ("col_targets", cols)):
+            for value in values:
+                if value <= 0:
+                    raise nonpositive_error(name)
+        check_target_lengths(height, width, len(rows), len(cols))
+        self.gauge.check_fits(height, width)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "row_targets", rows)
         object.__setattr__(self, "col_targets", cols)
@@ -445,13 +446,6 @@ class RationalInstance:
 
     def is_consistent(self) -> bool:
         return sum(self.row_targets) == sum(self.col_targets)
-
-
-def default_gauge(rows: int, cols: int) -> GaugeFix:
-    """Pin the last column factor, or the single row factor for one-row shapes."""
-    if rows == 1:
-        return GaugeFix("unit_row_factor", 0)
-    return GaugeFix("unit_col_factor", cols - 1)
 
 
 def scaling_variables(rows: int, cols: int, gauge: GaugeFix) -> tuple[str, ...]:

@@ -31,17 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    GaugeFix,
     MatrixBalanceError,
     NonPositiveInput,
     ScaledResult,
     ScalingPair,
-    ShapeMismatch,
     ValidatedInstance,
     apply_scaling,
     max_abs_residual,
 )
-
-GAUGE_KINDS = ("unit_row_factor", "unit_col_factor")
 
 
 class NotConverged(MatrixBalanceError):
@@ -81,28 +79,6 @@ class IterationConfig:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class GaugeFix:
-    """Pin one scaling factor to 1: row factor ``index`` or column factor ``index``."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in GAUGE_KINDS:
-            raise ValueError(f"gauge kind must be one of {GAUGE_KINDS}")
-        if self.index < 0:
-            raise ValueError("gauge index must be >= 0")
-
-    def check_fits(self, rows: int, cols: int) -> None:
-        """Raise ShapeMismatch unless the pinned factor exists in a ``rows x cols`` problem."""
-        if self.kind == "unit_row_factor":
-            if self.index >= rows:
-                raise ShapeMismatch(f"row gauge index {self.index} for {rows} rows")
-        elif self.index >= cols:
-            raise ShapeMismatch(f"col gauge index {self.index} for {cols} cols")
 
 
 # Row blocks of the Frobenius difference hold about 64k entries, so their

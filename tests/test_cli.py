@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,6 +109,26 @@ class TestParseInput:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err == "error: not a number: '' (line 1, column 2)\n"
+
+    @pytest.mark.parametrize("command", ["scale", "degree-check"])
+    @pytest.mark.parametrize("literal", ["inf", "-inf", "nan", "Infinity", "-NaN"])
+    @pytest.mark.parametrize("where, position", [("cell", "line 2, column 1"), ("rows", "line 1, column 2")])
+    def test_non_finite_literals_are_not_numbers_on_either_route(
+        self, capsys, tmp_path, command, literal, where, position
+    ):
+        path = tmp_path / "matrix.csv"
+        path.write_text(f"1,2\n{literal if where == 'cell' else 3},4\n")
+        rows = f"1,{literal}" if where == "rows" else "1,1"
+        code, out, err = run_main(capsys, [command, str(path), "--rows", rows, "--cols", "1,1"])
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == f"error: not a number: {literal!r} ({position})\n"
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400 + "/3"], ids=["1e400", "-1e400", "ratio"])
+    def test_rationals_outside_the_float_range_are_refused_on_the_float_route(self, csv_doc, literal):
+        with pytest.raises(ParseError, match=r"outside the float range: .* \(line 1, column 2\)"):
+            parse_input(csv_doc, rows_flag=f"1,{literal}", cols_flag="1,1")
+        _, rows, _ = parse_input(csv_doc, rows_flag=f"1,{literal}", cols_flag="1,1", exact=True)
+        assert rows[1] == Fraction(literal)
 
     def test_missing_file(self):
         with pytest.raises(ParseError):
@@ -250,6 +271,18 @@ class TestScaleCommand:
         assert code == EXIT_INCONSISTENT
         assert out == ""
         assert "inconsistent" in err.lower()
+
+    def test_targets_whose_total_overflows_validate(self, capsys, csv_doc):
+        # Every warning is an error here, numpy's own reduce warning included.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, [
+                "scale", csv_doc, "--rows", "1e308,1e308", "--cols", "1e308,1e308", "--method", "iterative",
+            ])
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["converged"] is True
+        np.testing.assert_allclose(np.array(doc["matrix"]).sum(axis=0), [1e308, 1e308], rtol=1e-9)
 
     def test_nonpositive_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -91,6 +91,24 @@ class TestSingleColumn:
         with pytest.raises(WrongShape):
             closed_form_nx1(make_instance([[1, 2]], [3], [1, 2]))
 
+    @pytest.mark.parametrize("rows", [1, 2, 5, 29, 1001, 3000])
+    def test_bitwise_equal_to_transposed_single_row(self, rows):
+        # Reference: the single-row formula on the transposed instance, with
+        # the factors swapped back.
+        rng = np.random.default_rng(rows)
+        row_targets = rng.uniform(0.5, 3.0, rows)
+        entries = rng.uniform(0.2, 5.0, (rows, 1)) * 10.0 ** rng.uniform(-5, 5, (rows, 1))
+        # A column target off by 1e-12, so the residual depends on the summation order.
+        inst = make_instance(entries, row_targets, [row_targets.sum() * (1 + 1e-12)])
+        inner = closed_form_1xn(transpose_instance(inst))
+        result = closed_form_nx1(inst)
+        assert result.matrix.tobytes() == inner.matrix.T.tobytes()
+        assert result.matrix.shape == (rows, 1)
+        assert result.factors.row_factors.tobytes() == inner.factors.col_factors.tobytes()
+        assert result.factors.col_factors.tobytes() == inner.factors.row_factors.tobytes()
+        assert result.max_marginal_residual == inner.max_marginal_residual > 0
+        assert (result.iterations, result.converged, result.method) == (0, True, "transposed_delegate")
+
 
 class TestQuadraticData:
     def test_golden_values(self):
@@ -219,6 +237,15 @@ class TestClosedForm2x2Singular:
     def test_inconsistent_rejected(self):
         with pytest.raises(InconsistentMarginals):
             closed_form_2x2_singular(Marginals([1, 1], [1, 2]))
+
+    def test_inconsistency_worded_as_in_validation(self):
+        marginals = Marginals([1.0, 1.0], [1.0, 2.5])
+        with pytest.raises(InconsistentMarginals) as singular:
+            closed_form_2x2_singular(marginals, 1e-12)
+        with pytest.raises(InconsistentMarginals) as validated:
+            validate_instance(PositiveMatrix([[2, 4], [3, 6]]), marginals, 1e-12)
+        assert str(singular.value) == str(validated.value)
+        assert singular.value.defect == validated.value.defect == 1.5
 
     def test_wrong_shape(self):
         with pytest.raises(WrongShape):

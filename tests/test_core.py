@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,46 @@ class TestValidateInstance:
             validate_instance(PositiveMatrix([[1, 2], [3, 4]]), Marginals([1, 1, 1], [1, 1]))
         with pytest.raises(ShapeMismatch):
             validate_instance(PositiveMatrix([[1, 2], [3, 4]]), Marginals([2, 2], [1, 1, 2]))
+
+
+class TestOverflowSafeTotals:
+    # The pyproject filter misses warnings raised inside numpy's own Python
+    # wrappers, so these tests turn every warning into an error themselves.
+
+    @pytest.mark.parametrize("target", [1e308, np.finfo(float).max])
+    def test_consistent_targets_past_the_float_range_validate(self, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            marginals = Marginals([target, target], [target, target])
+            inst = validate_instance(PositiveMatrix([[1, 2], [3, 4]]), marginals)
+            assert marginals.consistency_defect() == 0.0
+            assert marginals.is_consistent(0.0)
+        assert inst.rows == 2
+
+    def test_inconsistent_targets_past_the_float_range_report_a_finite_defect(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistentMarginals) as err:
+                validate_instance(PositiveMatrix([[1, 2], [3, 4]]), Marginals([1e308, 1e308], [1e308, 1.5e308]))
+        assert err.value.defect == pytest.approx(5e307, rel=1e-15)
+        assert "(defect 5e+307)" in str(err.value)
+
+    def test_one_long_vector_of_large_targets(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            marginals = Marginals(np.full(1000, 1e306), np.full(10, 1e308))
+            assert marginals.is_consistent(1e-12)
+            assert not Marginals(np.full(1000, 1e306), np.full(10, 1.01e308)).is_consistent(1e-9)
+
+    def test_finite_totals_keep_their_bits(self, rng):
+        for _ in range(200):
+            row_targets = rng.uniform(0.5, 3.0, int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-200, 200)
+            col_targets = rng.uniform(0.5, 3.0, int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-200, 200)
+            marginals = Marginals(row_targets, col_targets)
+            row, col = float(row_targets.sum()), float(col_targets.sum())
+            assert marginals.consistency_defect() == abs(row - col)
+            for tol in (0.0, 1e-9, 0.5, 2.0):
+                assert marginals.is_consistent(tol) == (abs(row - col) <= tol * max(row, col))
 
 
 class TestApplyScaling:
