@@ -29,6 +29,7 @@ Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import random
@@ -49,6 +50,7 @@ from .core import (
     MatrixBalanceError,
     PositiveMatrix,
     ScaledResult,
+    ShapeMismatch,
     ValidatedInstance,
     check_grid,
     default_gauge,
@@ -163,12 +165,11 @@ def _reject_constant(name: str):
 
 
 def _parse_json_document(text: str, exact: bool):
-    # NaN and Infinity are not JSON, and no rational has their value.
+    # NaN and Infinity are not JSON, and no rational has their value.  On the
+    # float route a number past the float range is refused as in a CSV cell.
+    number = Fraction if exact else lambda literal: _parse_number(literal, False, 1, 1)
     try:
-        if exact:
-            doc = json.loads(text, parse_float=Fraction, parse_int=Fraction, parse_constant=_reject_constant)
-        else:
-            doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_float=number, parse_int=number, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
@@ -216,6 +217,18 @@ def _parse_gauge(flag: str | None) -> GaugeFix | None:
         raise ParseError("gauge index is 1-based and must be >= 1", 1, 1)
     kind = "unit_row_factor" if parts[0] == "r" else "unit_col_factor"
     return GaugeFix(kind, index - 1)
+
+
+def _fit_gauge(gauge: GaugeFix | None, rows: int, cols: int) -> GaugeFix:
+    """``gauge``, or the default gauge, checked against the shape; a misfit names the 1-based index."""
+    if gauge is None:
+        return default_gauge(rows, cols)
+    try:
+        gauge.check_fits(rows, cols)
+    except ShapeMismatch:
+        side, count = ("row", rows) if gauge.kind == "unit_row_factor" else ("col", cols)
+        raise ShapeMismatch(f"{side} gauge index {gauge.index + 1} for {count} {side}s") from None
+    return gauge
 
 
 def _iteration_config(args: argparse.Namespace) -> IterationConfig:
@@ -272,12 +285,11 @@ def _run_factors(args: argparse.Namespace) -> tuple[dict, int]:
     config = _iteration_config(args)
     gauge = _parse_gauge(args.gauge)
     instance = _read_instance(args)
+    gauge = _fit_gauge(gauge, instance.rows, instance.cols)
     result = _solve(args, instance, config)
     if result.factors is None:
         # Singular closed form carries no factors; rerun iteratively.
         result = sinkhorn_iterate(instance, config)
-    if gauge is None:
-        gauge = default_gauge(instance.rows, instance.cols)
     pair = extract_factors(instance, result, gauge)
     doc = _result_document("factors", config, instance, result)
     doc["gauge"] = {"kind": gauge.kind, "index": gauge.index + 1}
@@ -370,7 +382,10 @@ def _degree_check_single(args: argparse.Namespace) -> tuple[dict, int]:
     gauge = _parse_gauge(args.gauge)
     matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols, exact=True)
     rows, cols = len(matrix), len(matrix[0])
-    instance = RationalInstance(matrix, row_sums, col_sums, gauge or default_gauge(rows, cols))
+    # Checked with a gauge that fits first, so a misfit gauge is found last,
+    # as on the float commands.
+    instance = RationalInstance(matrix, row_sums, col_sums, default_gauge(rows, cols))
+    instance = dataclasses.replace(instance, gauge=_fit_gauge(gauge, rows, cols))
     basis = buchberger(build_scaling_ideal(instance))
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -215,23 +215,25 @@ def closed_form_2x2(
 
 def _nonsingular_2x2(instance: ValidatedInstance, data: QuadraticData) -> ScaledResult:
     """The body of :func:`closed_form_2x2` once ``data`` has passed the singularity test."""
-    s11, s12, s21, s22 = _entries_2x2(instance, data)
+    a = instance.matrix.entries
+    # Overflow or NaN leaves an entry or a factor nonpositive or infinite,
+    # raised below as a typed error, so numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        s11, s12, s21, s22 = entries = _entries_2x2(instance, data)
+        # Factors in the c2 = 1 gauge, read off the entries: s22 = a22 r2,
+        # s12 = a12 r1, s21 = a21 r2 c1.
+        row_factors = np.array([s12 / a[0, 1], s22 / a[1, 1]])
+        col_factors = np.array([s21 * a[1, 1] / (a[1, 0] * s22), 1.0])
     if not (s11 > 0 and s12 > 0 and s21 > 0 and s22 > 0):
         minus, plus = r2_roots(data, instance.marginals)
         raise NonPositiveRoot(
-            f"formula produced nonpositive entries {[s11, s12, s21, s22]!r} "
+            f"formula produced nonpositive entries {[float(s) for s in entries]!r} "
             f"(row-factor branches {minus!r} / {plus!r})",
             minus_root=minus,
             plus_root=plus,
         )
     matrix = np.array([[s11, s12], [s21, s22]])
-    a = instance.matrix.entries
-    # Factors in the c2 = 1 gauge, read off the entries: s22 = a22 r2,
-    # s12 = a12 r1, s21 = a21 r2 c1.
-    factors = ScalingPair(
-        np.array([s12 / a[0, 1], s22 / a[1, 1]]),
-        np.array([s21 * a[1, 1] / (a[1, 0] * s22), 1.0]),
-    )
+    factors = ScalingPair(row_factors, col_factors)
     return _result(matrix, factors, instance.marginals, "closed_form_2x2")
 
 

@@ -6,10 +6,10 @@ so instances are validated once and the resulting :class:`ValidatedInstance`
 is the sole currency accepted by the solvers.  Each validation decision of
 both input routes, float and exact, has its one home here, so the two raise
 the same typed errors in the same words: shape (:func:`check_grid`,
-:func:`check_target_lengths`), positivity (:func:`nonpositive_error`),
-consistency (:meth:`Marginals.check_consistent`) and the gauge
-(:class:`GaugeFix`, :func:`default_gauge`).  This module imports no other
-module of the package.
+:func:`check_target_lengths`, :func:`empty_error`), positivity
+(:func:`nonpositive_error`), consistency (:meth:`Marginals.check_consistent`)
+and the gauge (:class:`GaugeFix`, :func:`default_gauge`).  This module
+imports no other module of the package.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -46,10 +46,15 @@ class InconsistentMarginals(MatrixBalanceError, ValueError):
         self.defect = defect
 
 
+def empty_error(name: str) -> ShapeMismatch:
+    """The error for an empty matrix or target vector ``name``, float or exact."""
+    return ShapeMismatch(f"{name} must be nonempty")
+
+
 def check_grid(grid) -> tuple[int, int]:
     """Shape of a matrix given as a sequence of rows; ShapeMismatch unless nonempty and rectangular."""
     if not (len(grid) and len(grid[0])):
-        raise ShapeMismatch("matrix must be nonempty")
+        raise empty_error("matrix")
     width = len(grid[0])
     if any(len(row) != width for row in grid):
         raise ShapeMismatch("matrix rows have unequal lengths")
@@ -78,10 +83,10 @@ def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarr
     if arr.ndim != ndim:
         raise ShapeMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
-        raise ShapeMismatch(f"{name} must be nonempty")
+        raise empty_error(name)
     # NaN fails both comparisons, so one min and one max decide; the scans
     # below only word the error.
-    if not (arr.min() > 0 and arr.max() < np.inf):
+    if not (np.minimum.reduce(arr, axis=None) > 0 and np.maximum.reduce(arr, axis=None) < np.inf):
         if not np.all(np.isfinite(arr)):
             raise NonPositiveInput(f"{name} contains NaN or infinite entries")
         raise nonpositive_error(name)
@@ -300,13 +305,14 @@ def residuals(candidate, marginals: Marginals) -> tuple[np.ndarray, np.ndarray]:
     if grid.ndim != 2:
         raise ShapeMismatch(f"candidate must be 2-dimensional, got shape {grid.shape}")
     check_target_lengths(*grid.shape, marginals.row_targets.size, marginals.col_targets.size)
-    return grid.sum(axis=1) - marginals.row_targets, grid.sum(axis=0) - marginals.col_targets
+    row_sums, col_sums = np.add.reduce(grid, axis=1), np.add.reduce(grid, axis=0)
+    return row_sums - marginals.row_targets, col_sums - marginals.col_targets
 
 
 def max_abs_residual(candidate, marginals: Marginals) -> float:
     """Largest absolute row or column residual of a candidate matrix."""
     row_res, col_res = residuals(candidate, marginals)
-    return max(float(np.max(np.abs(row_res))), float(np.max(np.abs(col_res))))
+    return float(max(np.maximum.reduce(np.abs(row_res)), np.maximum.reduce(np.abs(col_res))))
 
 
 def transpose_instance(instance: ValidatedInstance) -> ValidatedInstance:

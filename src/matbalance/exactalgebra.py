@@ -31,6 +31,7 @@ from .core import (
     check_grid,
     check_target_lengths,
     default_gauge,
+    empty_error,
     nonpositive_error,
 )
 
@@ -426,7 +427,10 @@ class RationalInstance:
         # Checked in the order of the float route (matrix, targets, lengths),
         # so a fault raises the same error on both.
         height, width = check_grid(entries)
-        for name, values in (("matrix", itertools.chain(*entries)), ("row_targets", rows), ("col_targets", cols)):
+        matrix = tuple(itertools.chain.from_iterable(entries))
+        for name, values in (("matrix", matrix), ("row_targets", rows), ("col_targets", cols)):
+            if not values:
+                raise empty_error(name)
             for value in values:
                 if value <= 0:
                     raise nonpositive_error(name)

@@ -10,6 +10,15 @@ which makes a result bitwise-reproducible from its reported factors.  Row
 and column sums are strictly positive by construction, so the updates
 divide safely without an epsilon guard.
 
+A sweep writes in place into buffers allocated once per solve, each of
+``rows + cols`` entries, rows then columns: the factors ``(r, c)``, the
+sums ``(A c, A^T r)`` and the residual.  The range check of the factors is
+then one min and one max and the residual test one pass, which matters
+because numpy calls, not arithmetic, are what a sweep costs on small
+matrices.  Two factor buffers take turns, as the stop test compares the new
+iterate with the previous one.  Each entry is computed by the same
+operations in the same order as with separate row and column arrays.
+
 The stop test ``||S1 - S0||_F < tol`` is decided, where it can be, without
 an elementwise pass over ``S``.  With ``alpha = (r1 - r0) / r1``,
 ``rho = r0 / r1`` and ``beta = (c1 - c0) / c1``, the difference is
@@ -211,18 +220,21 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     """
     if config is None:
         config = IterationConfig()
-    entries = instance.matrix.entries
+    entries, rows = instance.matrix.entries, instance.rows
     row_targets = instance.marginals.row_targets
     col_targets = instance.marginals.col_targets
-    row_gate = config.tolerance * np.maximum(1.0, row_targets)
-    col_gate = config.tolerance * np.maximum(1.0, col_targets)
+    targets = np.concatenate((row_targets, col_targets))
+    gate = config.tolerance * np.maximum(1.0, targets)
     # On one block the blocked metric is a single dot product, as cheap as
     # the Gram route.
     gram_route = entries.size > _FROBENIUS_BLOCK_ENTRIES
 
-    r = np.ones(instance.rows)
-    c = np.ones(instance.cols)
-    a_c = entries @ c
+    # Two factor buffers (r, c) and the sums (A c, A^T r), each with its halves.
+    buffers = [(stack, stack[:rows], stack[rows:]) for stack in np.ones((3, targets.size))]
+    current, previous, (sums, a_c, at_r) = buffers
+    residual = np.empty(targets.size)
+    entries_t = entries.T
+    np.dot(entries, current[2], out=a_c)
     iterations = 0
     converged = False
     metric = np.inf
@@ -232,33 +244,34 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while iterations < config.max_iterations:
             iterations += 1
-            previous = r, c
-            r = row_targets / a_c
-            at_r = entries.T @ r
-            c = col_targets / at_r
-            a_c = entries @ c
+            current, previous = previous, current
+            stacked, r, c = current
+            np.divide(row_targets, a_c, out=r)
+            np.dot(entries_t, r, out=at_r)
+            np.divide(col_targets, at_r, out=c)
+            np.dot(entries, c, out=a_c)
             # NaN fails every comparison, so this also catches NaN factors.
-            if not (r.min() > 0 and c.min() > 0 and r.max() < np.inf and c.max() < np.inf):
+            if not (np.minimum.reduce(stacked) > 0 and np.maximum.reduce(stacked) < np.inf):
                 raise NonPositiveInput(
                     f"scaling factors left the positive float range at sweep {iterations}: "
                     "the matrix or target magnitudes exceed double precision"
                 )
 
-            row_res = r * a_c - row_targets
-            col_res = c * at_r - col_targets
-            residuals_ok = bool(
-                np.all(np.abs(row_res) <= row_gate) and np.all(np.abs(col_res) <= col_gate)
-            )
+            # |(r, c) * (A c, A^T r) - (R, C)| <= gate, both halves at once.
+            np.multiply(stacked, sums, out=residual)
+            residual -= targets
+            np.abs(residual, out=residual)
+            residuals_ok = bool((residual <= gate).all())
             if not residuals_ok and iterations < config.max_iterations:
                 # Both stop conditions must hold, so the O(nm) norm is only
                 # worth computing once the O(n+m) residual test has passed.
                 continue
             passed = None
             if gram_route and iterations < config.max_iterations:
-                passed = _gram_stop_test(entries, *previous, r, c, config.tolerance)
+                passed = _gram_stop_test(entries, *previous[1:], r, c, config.tolerance)
             if passed is None:
                 # The last sweep always lands here, so NotConverged reports a metric.
-                metric = _successive_frobenius(entries, *previous, r, c)
+                metric = _successive_frobenius(entries, *previous[1:], r, c)
                 passed = metric < config.tolerance
             if passed and residuals_ok:
                 converged = True

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from matbalance import (
     InconsistentMarginals,
     Marginals,
     NearSingular,
+    NonPositiveRoot,
     PositiveMatrix,
     UnsupportedShape,
     WrongShape,
@@ -197,6 +200,19 @@ class TestClosedForm2x2:
         inst = make_instance([[2, 4], [3, 6]], [1, 1], [1, 1])
         with pytest.raises(NearSingular):
             closed_form_2x2(inst)
+
+    # The formula overflows at these scales (ROADMAP item 1).  Until it is
+    # fixed the failure is a typed error alone, with no numpy warning before
+    # it, and it words the entries as plain floats.
+    @pytest.mark.parametrize("scale, target", [(1.0, 1e308), (1e80, 1.0)], ids=["targets 1e308", "matrix 1e80"])
+    def test_overflow_raises_typed_error_without_warnings(self, scale, target):
+        inst = make_instance(np.array([[1.0, 2.0], [3.0, 4.0]]) * scale, [target] * 2, [target] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveRoot) as raised:
+                closed_form_2x2(inst)
+        listed = str(raised.value).removeprefix("formula produced nonpositive entries [").split("]")[0]
+        assert len([float(v) for v in listed.split(", ")]) == 4
 
     def test_factors_reproduce_matrix(self, rng):
         for _ in range(50):

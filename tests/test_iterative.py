@@ -12,12 +12,14 @@ from matbalance import (
     NonPositiveLambda,
     NotConverged,
     PositiveMatrix,
+    ScaledResult,
     ScalingPair,
     apply_scaling,
     closed_form_dispatch,
     extract_factors,
     gauge_transform,
     max_abs_residual,
+    residuals,
     sinkhorn_iterate,
     transpose_instance,
     validate_instance,
@@ -333,6 +335,130 @@ class TestGramStopTest:
             assert answers[metric] is None
             if step == "generic":
                 assert (answers[metric * 0.5], answers[metric * 2]) == (False, True)
+
+
+def separate_halves_loop(instance, config):
+    """``sinkhorn_iterate`` as written before its stacked buffers: fresh row and column arrays per sweep.
+
+    The reference for the stacked loop, which must give the same bits.
+    """
+    entries = instance.matrix.entries
+    row_targets = instance.marginals.row_targets
+    col_targets = instance.marginals.col_targets
+    row_gate = config.tolerance * np.maximum(1.0, row_targets)
+    col_gate = config.tolerance * np.maximum(1.0, col_targets)
+    gram_route = entries.size > iterative._FROBENIUS_BLOCK_ENTRIES
+    r, c = np.ones(instance.rows), np.ones(instance.cols)
+    a_c = entries @ c
+    iterations, converged, metric = 0, False, np.inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while iterations < config.max_iterations:
+            iterations += 1
+            previous = r, c
+            r = row_targets / a_c
+            at_r = entries.T @ r
+            c = col_targets / at_r
+            a_c = entries @ c
+            if not (r.min() > 0 and c.min() > 0 and r.max() < np.inf and c.max() < np.inf):
+                raise NonPositiveInput(
+                    f"scaling factors left the positive float range at sweep {iterations}: "
+                    "the matrix or target magnitudes exceed double precision"
+                )
+            residuals_ok = bool(
+                np.all(np.abs(r * a_c - row_targets) <= row_gate)
+                and np.all(np.abs(c * at_r - col_targets) <= col_gate)
+            )
+            if not residuals_ok and iterations < config.max_iterations:
+                continue
+            passed = None
+            if gram_route and iterations < config.max_iterations:
+                passed = _gram_stop_test(entries, *previous, r, c, config.tolerance)
+            if passed is None:
+                metric = _successive_frobenius(entries, *previous, r, c)
+                passed = metric < config.tolerance
+            if passed and residuals_ok:
+                converged = True
+                break
+    factors = ScalingPair(r, c)
+    matrix = apply_scaling(instance.matrix, factors)
+    row_res, col_res = residuals(matrix, instance.marginals)
+    residual = max(float(np.max(np.abs(row_res))), float(np.max(np.abs(col_res))))
+    result = ScaledResult(matrix, factors, iterations, residual, converged, "iterative")
+    if not converged:
+        raise NotConverged(
+            f"no convergence after {iterations} iterations "
+            f"(metric {metric!r}, max marginal residual {residual!r})",
+            result=result,
+        )
+    return result
+
+
+def solve_outcome(solve, instance, config):
+    """The error type and text, if any, then the bits of matrix, factors, iterations and max residual."""
+    try:
+        result, error = solve(instance, config), None
+    except NotConverged as exc:
+        result, error = exc.result, (NotConverged, str(exc))
+    except NonPositiveInput as exc:
+        return (NonPositiveInput, str(exc)), None
+    arrays = [result.matrix, result.factors.row_factors, result.factors.col_factors]
+    bits = [(a.shape, a.tobytes()) for a in arrays]
+    return error, (bits, result.iterations, np.float64(result.max_marginal_residual).tobytes())
+
+
+STACKED_LOOP_CASES = {
+    **{f"{rows}x{cols}": (rows, cols, "uniform") for rows, cols in [(1, 1), (1, 7), (1, 29), (7, 1), (29, 1), (2, 2)]},
+    **{f"grid {rows}x{cols}": (rows, cols, "uniform") for rows, cols in [(3, 5), (12, 15), (30, 30), (17, 4)]},
+    **{f"ill-conditioned {rows}x{cols}": (rows, cols, "ill") for rows, cols in [(10, 10), (19, 24), (30, 13)]},
+    "gram route 300x250": (300, 250, "uniform"),
+}
+
+
+def stacked_loop_instance(case, seed):
+    """Uniform entries, or a rank-one log-scale part over a clipped lognormal core (log-entries of sigma ~6.7)."""
+    rows, cols, family = STACKED_LOOP_CASES[case]
+    rng = np.random.default_rng(seed)
+    if family == "uniform":
+        return random_instance(rng, rows, cols)
+    u, v = rng.standard_normal(rows), rng.standard_normal(cols)
+    core = np.clip(rng.standard_normal((rows, cols)), -2.0, 2.0)
+    entries = np.exp(6.0 * (u[:, None] + v[None, :]) / np.sqrt(2.0) + 3.5 * core)
+    return validate_instance(PositiveMatrix(entries), random_marginals(rng, rows, cols))
+
+
+class TestStackedLoop:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", list(STACKED_LOOP_CASES))
+    def test_matches_separate_halves_bit_for_bit(self, case, seed):
+        instance = stacked_loop_instance(case, seed)
+        expected = solve_outcome(separate_halves_loop, instance, IterationConfig())
+        assert expected[0] is None
+        assert solve_outcome(sinkhorn_iterate, instance, IterationConfig()) == expected
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["grid 12x15", "ill-conditioned 19x24", "gram route 300x250"])
+    def test_not_converged_matches_bit_for_bit(self, case, budget):
+        instance = stacked_loop_instance(case, 0)
+        config = IterationConfig(max_iterations=budget)
+        expected = solve_outcome(separate_halves_loop, instance, config)
+        assert expected[0][0] is NotConverged
+        assert solve_outcome(sinkhorn_iterate, instance, config) == expected
+
+    @pytest.mark.parametrize(
+        "entries, targets",
+        [
+            (_GENERIC_3X3 * 1e-320, _TARGETS_3X3),
+            # Row factors of 1e308 push a column sum past the float range, so
+            # a column factor is the first to reach 0.
+            (np.array([[1.0, 1e-20], [1.0, 1e-20]]), Marginals([1e308, 1e308], [1e308, 1e308])),
+        ],
+        ids=["matrix 1e-320", "column sum overflows"],
+    )
+    def test_nonpositive_input_at_the_same_sweep(self, entries, targets):
+        instance = validate_instance(PositiveMatrix(entries), targets)
+        expected = solve_outcome(separate_halves_loop, instance, IterationConfig())
+        assert expected[0][0] is NonPositiveInput
+        assert solve_outcome(sinkhorn_iterate, instance, IterationConfig()) == expected
 
 
 class TestExtractFactors:

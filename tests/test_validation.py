@@ -38,6 +38,8 @@ MALFORMED = {
     "col target length": (PAIR, [1, 1], [2], None, ShapeMismatch, "1 col targets for a matrix with 2 cols"),
     "zero entry": ([[1, 0], [3, 4]], [1, 1], [1, 1], None, NonPositiveInput, f"matrix {POSITIVITY}"),
     "negative entry": ([[1, 2], [-3, 4]], [1, 1], [1, 1], None, NonPositiveInput, f"matrix {POSITIVITY}"),
+    "empty row targets": (PAIR, [], [1, 1], None, ShapeMismatch, "row_targets must be nonempty"),
+    "empty col targets": (PAIR, [1, 1], [], None, ShapeMismatch, "col_targets must be nonempty"),
     "zero row target": (PAIR, [0, 2], [1, 1], None, NonPositiveInput, f"row_targets {POSITIVITY}"),
     "zero col target": (PAIR, [1, 1], [2, 0], None, NonPositiveInput, f"col_targets {POSITIVITY}"),
     # Two faults: the checks run in one order on every route.
@@ -45,6 +47,11 @@ MALFORMED = {
     "zero target and long targets": (PAIR, [0, 1, 1], [1, 1], None, NonPositiveInput, f"row_targets {POSITIVITY}"),
     "col gauge index": (PAIR, [1, 1], [1, 1], GaugeFix("unit_col_factor", 5), ShapeMismatch, "col gauge index 5 for 2 cols"),
     "row gauge index": (PAIR, [1, 1], [1, 1], GaugeFix("unit_row_factor", 2), ShapeMismatch, "row gauge index 2 for 2 rows"),
+}
+# --gauge is 1-based, so the CLI names the index as the user typed it.
+CLI_MESSAGES = {
+    "col gauge index": "col gauge index 6 for 2 cols",
+    "row gauge index": "row gauge index 3 for 2 rows",
 }
 
 
@@ -87,7 +94,34 @@ def test_cli_routes_print_the_same_error(capsys, tmp_path, case, command):
         argv += ["--gauge", f"{side},{gauge.index + 1}"]
     code = main(argv)
     captured = capsys.readouterr()
+    message = CLI_MESSAGES.get(case, message)
     assert (code, captured.out, captured.err) == (EXIT_INVALID_INPUT, "", f"error: {message}\n")
+
+
+# A number past the float range, in the matrix or in the row targets, read
+# from a JSON document or from a CSV cell or target flag; X stands for the
+# number.  JSON positions are the document's, as for its other faults.
+PAST_FLOAT_RANGE = {
+    "json cell": ('{"matrix": [[1, 2], [X, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}', [], "line 1, column 1"),
+    "json target": ('{"matrix": [[1, 2], [3, 4]], "row_sums": [1, X], "col_sums": [1, 1]}', [], "line 1, column 1"),
+    "csv cell": ("1,2\nX,4\n", ["--rows", "1,1", "--cols", "1,1"], "line 2, column 1"),
+    "csv target": ("1,2\n3,4\n", ["--rows", "1,X", "--cols", "1,1"], "line 1, column 2"),
+}
+
+
+@pytest.mark.parametrize("command", ["scale", "factors", "compare"])
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400], ids=["1e400", "-1e400", "integer"])
+@pytest.mark.parametrize("case", list(PAST_FLOAT_RANGE))
+def test_float_commands_refuse_numbers_past_the_float_range_from_json_and_csv(
+    capsys, tmp_path, case, literal, command
+):
+    text, flags, position = PAST_FLOAT_RANGE[case]
+    path = tmp_path / "instance.txt"
+    path.write_text(text.replace("X", literal))
+    code = main([command, str(path)] + [flag.replace("X", literal) for flag in flags])
+    captured = capsys.readouterr()
+    message = f"error: outside the float range: {literal!r} ({position})\n"
+    assert (code, captured.out, captured.err) == (EXIT_INVALID_INPUT, "", message)
 
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "matbalance"
