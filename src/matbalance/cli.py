@@ -105,13 +105,23 @@ def _parse_number(text: str, exact: bool, line: int, column: int):
             value = float(text)
         except ValueError:
             value = float(Fraction(text))
-        if math.isfinite(value):
-            return value
-        Fraction(text)  # inf and nan are float literals, but not numbers on either route
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a number: {text!r}", line, column) from None
+        # Python refuses to convert integer strings past a digit limit
+        # (3.10.7 and later; 0 means no limit).
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = sum(ch.isdigit() for ch in text)
+        if limit and digits > limit:
+            message = f"{digits} digits, past Python's integer-string limit of {limit}"
+        else:
+            message = "not a number"
+        raise ParseError(f"{message}: {text!r}", line, column) from None
     except OverflowError:
-        pass
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    if math.isnan(value) or text.lstrip("+-").lower() in ("inf", "infinity"):
+        # inf and nan are float literals, but not numbers on either route.
+        raise ParseError(f"not a number: {text!r}", line, column)
     raise ParseError(f"outside the float range: {text!r}", line, column)
 
 
@@ -167,7 +177,7 @@ def _reject_constant(name: str):
 def _parse_json_document(text: str, exact: bool):
     # NaN and Infinity are not JSON, and no rational has their value.  On the
     # float route a number past the float range is refused as in a CSV cell.
-    number = Fraction if exact else lambda literal: _parse_number(literal, False, 1, 1)
+    number = lambda literal: _parse_number(literal, exact, 1, 1)
     try:
         doc = json.loads(text, parse_float=number, parse_int=number, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:

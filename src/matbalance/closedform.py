@@ -94,10 +94,12 @@ def _discriminant(alpha: float, beta: float, det: float, r2t: float, c1t: float,
     if abs(det) < COMPENSATED_DET_RATIO * alpha:
         # Cancellation-free expansion: every term is nonnegative for
         # consistent positive data (c1t + c2t - r2t is the first row target).
+        # Products, not **: a float square past the range raises OverflowError.
+        left, right = c2t - r2t, c1t - r2t
         return (
-            alpha * alpha * (c2t - r2t) ** 2
+            alpha * alpha * (left * left)
             + 2.0 * alpha * beta * (c1t * c2t + r2t * (c1t + c2t - r2t))
-            + beta * beta * (c1t - r2t) ** 2
+            + beta * beta * (right * right)
         )
     total = alpha * (c2t + r2t) + beta * (c1t - r2t)
     return total * total - 4.0 * alpha * c2t * r2t * det

@@ -20,9 +20,10 @@ import heapq
 import itertools
 import math
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._packed import Divisor, Packing, ResourceLimit, reduce, reduce_basis, s_work, update_pairs
 from .core import (
@@ -286,6 +287,150 @@ def s_polynomial(f: MultivariatePolynomial, g: MultivariatePolynomial) -> Multiv
     return _unpacked(packing, f.variables, s_work(f_int, g_int, packing), math.lcm(f_int.coeff, g_int.coeff))
 
 
+# The productive S-pairs of the last full run per key of buchberger, and the
+# most keys kept.  Traces are immutable, so threads share them freely.
+TRACE_CACHE_SIZE = 64
+_TRACES: dict[tuple, "_Trace"] = {}
+_TRACES_LOCK = threading.Lock()
+
+
+class _Trace(NamedTuple):
+    """What a full :func:`buchberger` run did, for replay on the same supports.
+
+    ``leads`` are the leading monomials of the reduced generators, ``pairs``
+    the S-pairs ``(i, j, leading monomial of the remainder)`` that gave a
+    nonzero remainder, in order, and ``processed`` counts every pair taken.
+    """
+
+    leads: tuple[int, ...]
+    pairs: tuple[tuple[int, int, int], ...]
+    processed: int
+
+
+class _Basis:
+    """Basis elements appended so far, under the stored-term budget."""
+
+    def __init__(self, packing: Packing, max_terms: int):
+        self.packing = packing
+        self.max_terms = max_terms
+        self.divisors: list[Divisor] = []
+        self.leads: list[int] = []
+        self.terms = 0
+
+    def append(self, remainder: dict[int, int]) -> None:
+        g = self.packing.divisor(remainder)
+        self.divisors.append(g)
+        self.leads.append(g.lead)
+        self.terms += len(remainder)
+        if self.terms > self.max_terms:
+            raise ResourceLimit(f"stored terms exceeded {self.max_terms}")
+
+    def add_generators(self, packed: list[dict[int, int]]) -> bool:
+        """Append the nonzero remainder of each generator by the elements before it.
+
+        Returns False, and stops, at a nonzero constant remainder.
+        """
+        for g in packed:
+            r, _ = reduce(dict(g), self.divisors, self.packing)
+            if not r:
+                continue
+            # Remainder terms come out in decreasing order: a zero leading
+            # monomial means a nonzero constant.
+            if not next(iter(r)):
+                return False
+            self.append(r)
+        return True
+
+
+# The reduced integer terms of the unit ideal's basis {1}.
+_UNIT_TERMS: tuple[dict[int, int], ...] = ({0: 1},)
+
+
+def _full_run(
+    packed: list[dict[int, int]], packing: Packing, max_pairs: int, max_terms: int
+) -> tuple[Sequence[dict[int, int]], _Trace | None]:
+    """Buchberger's algorithm with the normal strategy; the reduced basis terms and the run's trace.
+
+    The trace is None when a nonzero constant cut the run short.
+    """
+    basis = _Basis(packing, max_terms)
+    if not basis.add_generators(packed):
+        return _UNIT_TERMS, None
+    leads = tuple(basis.leads)
+    pairs: list[tuple[int, int, int]] = []
+    for t in range(len(leads)):
+        pairs = update_pairs(pairs, basis.leads, t, packing)
+    productive: list[tuple[int, int, int]] = []
+    processed = 0
+    while pairs:
+        processed += 1
+        if processed > max_pairs:
+            raise ResourceLimit(f"processed pairs exceeded {max_pairs}")
+        _, i, j = heapq.heappop(pairs)
+        r, _ = reduce(s_work(basis.divisors[i], basis.divisors[j], packing), basis.divisors, packing)
+        if not r:
+            continue
+        top = next(iter(r))
+        if not top:
+            return _UNIT_TERMS, None
+        productive.append((i, j, top))
+        basis.append(r)
+        pairs = update_pairs(pairs, basis.leads, len(basis.leads) - 1, packing)
+    return reduce_basis(basis.divisors, packing), _Trace(leads, tuple(productive), processed)
+
+
+def _replay(
+    packed: list[dict[int, int]], trace: _Trace, packing: Packing, max_terms: int
+) -> Sequence[dict[int, int]] | None:
+    """The reduced basis terms from the traced pairs alone, or None once the run diverges.
+
+    A divergence is a different generator lead, a zero remainder, a
+    different remainder lead, or a pair index past the basis.
+    """
+    basis = _Basis(packing, max_terms)
+    if not basis.add_generators(packed):
+        return _UNIT_TERMS
+    if tuple(basis.leads) != trace.leads:
+        return None
+    for i, j, lead in trace.pairs:
+        if j >= len(basis.divisors):
+            return None
+        r, _ = reduce(s_work(basis.divisors[i], basis.divisors[j], packing), basis.divisors, packing)
+        if not r:
+            return None
+        top = next(iter(r))
+        if not top:
+            # The constant lies in the ideal, whatever the pairs skipped.
+            return _UNIT_TERMS
+        if top != lead:
+            return None
+        basis.append(r)
+    reduced = reduce_basis(basis.divisors, packing)
+    return reduced if _certified(reduced, packed, packing) else None
+
+
+def _certified(reduced: Sequence[dict[int, int]], packed: list[dict[int, int]], packing: Packing) -> bool:
+    """True when ``reduced`` is a Groebner basis of the ideal of the generators.
+
+    Its S-pairs must reduce to 0 modulo itself (Buchberger's criterion;
+    coprime leading monomials pass without a reduction), so it is a
+    Groebner basis of the ideal it generates.  Every element of it lies in
+    the generators' ideal, and every generator must reduce to 0, so the two
+    ideals are equal.
+    """
+    divisors = [packing.divisor(r) for r in reduced]
+    for f, g in itertools.combinations(divisors, 2):
+        if packing.lcm(f.lead, g.lead) != f.lead + g.lead and reduce(s_work(f, g, packing), divisors, packing)[0]:
+            return False
+    return not any(reduce(dict(g), divisors, packing)[0] for g in packed)
+
+
+def _store(key: tuple, trace: _Trace) -> None:
+    with _TRACES_LOCK:
+        if key in _TRACES or len(_TRACES) < TRACE_CACHE_SIZE:
+            _TRACES[key] = trace
+
+
 def buchberger(
     generators: Sequence[MultivariatePolynomial],
     max_pairs: int = DEFAULT_MAX_PAIRS,
@@ -296,6 +441,24 @@ def buchberger(
     Pairs are processed smallest lcm in the lex order first (Buchberger's
     normal strategy).  A nonzero constant remainder short-circuits to the
     unit basis.
+
+    Trace replay (after Traverso 1988).  A call is keyed by the variables
+    and the supports of the generators, which :func:`build_scaling_ideal`
+    fixes per shape and gauge.  A full run that ends in a basis records the
+    S-pairs that gave a nonzero remainder, with their leading monomials,
+    and the number of pairs processed.  A later call with the same key
+    reduces only those pairs, in order, with no pair queue.  A nonzero
+    constant remainder returns the unit basis, since the constant lies in
+    the ideal.  A zero remainder or a different leading monomial abandons
+    the replay.  A replayed basis is returned only behind a certificate:
+    after tail reduction, each of its S-pairs with non-coprime leading
+    monomials, and each generator, must reduce to 0 modulo it.  It is then
+    the unique reduced basis of the ideal, so the result is ``==`` to the
+    full run's.  A replay that diverges, fails the certificate, or meets a
+    budget or the packed field limit falls back to the full run, whose
+    trace then replaces the stored one.  At most ``TRACE_CACHE_SIZE`` keys
+    are kept; past that, new keys run in full and are not stored.  The
+    store is shared by every thread of the process.
 
     Raises:
         ResourceLimit: the pair or stored-term budget was exceeded, or an
@@ -309,51 +472,23 @@ def buchberger(
         if g.variables != variables:
             raise ValueError("generators must share one variable order")
 
-    unit = GroebnerBasis(
-        polynomials=(MultivariatePolynomial.constant(1, variables),), variables=variables
-    )
     packing = Packing(len(variables))
-
-    basis: list[Divisor] = []
-    lead: list[int] = []
-    pairs: list[tuple[int, int, int]] = []
-    term_count = 0
-
-    def append(remainder: dict[int, int]):
-        nonlocal pairs, term_count
-        g = packing.divisor(remainder)
-        basis.append(g)
-        lead.append(g.lead)
-        term_count += len(remainder)
-        if term_count > max_terms:
-            raise ResourceLimit(f"stored terms exceeded {max_terms}")
-        pairs = update_pairs(pairs, lead, len(basis) - 1, packing)
-
-    for g in generators:
-        r, _ = reduce(packing.integer_terms(g.terms)[0], basis, packing)
-        if not r:
-            continue
-        # Remainder terms come out in decreasing order: a zero leading
-        # monomial means a nonzero constant.
-        if not next(iter(r)):
-            return unit
-        append(r)
-
-    processed = 0
-    while pairs:
-        processed += 1
-        if processed > max_pairs:
-            raise ResourceLimit(f"processed pairs exceeded {max_pairs}")
-        _, i, j = heapq.heappop(pairs)
-        r, _ = reduce(s_work(basis[i], basis[j], packing), basis, packing)
-        if not r:
-            continue
-        if not next(iter(r)):
-            return unit
-        append(r)
-
-    reduced = [_unpacked(packing, variables, r, next(iter(r.values()))) for r in reduce_basis(basis, packing)]
-    return GroebnerBasis(polynomials=tuple(reduced), variables=variables)
+    packed = [packing.integer_terms(g.terms)[0] for g in generators]
+    key = (variables, tuple(tuple(sorted(g)) for g in packed))
+    trace = _TRACES.get(key)
+    reduced = None
+    if trace is not None and trace.processed <= max_pairs:
+        try:
+            reduced = _replay(packed, trace, packing, max_terms)
+        except ResourceLimit:
+            # The full run raises it where it applies to this instance.
+            pass
+    if reduced is None:
+        reduced, trace = _full_run(packed, packing, max_pairs, max_terms)
+        if trace is not None:
+            _store(key, trace)
+    polynomials = tuple(_unpacked(packing, variables, r, next(iter(r.values()))) for r in reduced)
+    return GroebnerBasis(polynomials=polynomials, variables=variables)
 
 
 def elimination_degree(basis: GroebnerBasis, variable: str) -> int:

@@ -130,6 +130,39 @@ class TestParseInput:
         _, rows, _ = parse_input(csv_doc, rows_flag=f"1,{literal}", cols_flag="1,1", exact=True)
         assert rows[1] == Fraction(literal)
 
+    @pytest.mark.parametrize("command", ["scale", "factors", "compare", "degree-check"])
+    @pytest.mark.parametrize("where, position", [("cell", "line 2, column 1"), ("rows", "line 1, column 2")])
+    def test_literals_past_the_digit_limit(self, capsys, tmp_path, command, where, position):
+        # Python will not convert an integer string this long, which is no
+        # reason to call it "not a number".
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter has no integer-string digit limit")
+        literal = "1" * (limit + 700)
+        path = tmp_path / "matrix.csv"
+        path.write_text(f"1,2\n{literal if where == 'cell' else 3},4\n")
+        rows = f"1,{literal}" if where == "rows" else "1,1"
+        code, out, err = run_main(capsys, [command, str(path), "--rows", rows, "--cols", "1,1"])
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        if command == "degree-check":
+            reason = f"{limit + 700} digits, past Python's integer-string limit of {limit}"
+        else:
+            reason = "outside the float range"
+        assert err == f"error: {reason}: {literal!r} ({position})\n"
+
+    @pytest.mark.parametrize("command, reason", [
+        ("scale", "outside the float range"), ("degree-check", "digits, past Python's integer-string limit"),
+    ])
+    def test_json_literal_past_the_digit_limit(self, capsys, tmp_path, command, reason):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter has no integer-string digit limit")
+        path = tmp_path / "big.json"
+        path.write_text('{"matrix": [[%s, 2], [3, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}' % ("1" * (limit + 1)))
+        code, out, err = run_main(capsys, [command, str(path)])
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith("error: ") and reason in err
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             parse_input("/nonexistent/input.json")
@@ -308,6 +341,13 @@ class TestScaleCommand:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_overflowing_discriminant_exits_defect_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "near_singular.csv"
+        path.write_text("1,2\n3,6.0000001\n")
+        code, out, err = run_main(capsys, ["scale", str(path), "--rows", "1e200,1e180", "--cols", "5e199,5e199"])
+        assert (code, out) == (EXIT_DEFECT, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_factors_out_of_range_print_only_the_error_line(self, tmp_path):
         # Run as a process, so stderr holds whatever numpy would print too.

@@ -164,6 +164,14 @@ class TestSolveR2:
         with pytest.raises(NearSingular):
             r2_roots(data, inst.marginals)
 
+    def test_overflowing_compensated_discriminant_is_typed(self):
+        # Near-singular, so the compensated expansion runs; its squares pass
+        # the float range, which reads inf instead of raising OverflowError.
+        inst = make_instance([[1, 2], [3, 6.0000001]], [1e200, 1e180], [5e199, 5e199])
+        assert quadratic_data(inst).delta == float("inf")
+        with pytest.raises(NonPositiveRoot):
+            closed_form_dispatch(inst)
+
 
 class TestClosedForm2x2:
     def test_nathanson_golden(self):

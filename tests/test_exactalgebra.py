@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +35,8 @@ from matbalance import (
     validate_instance,
     verify_solution_on_variety,
 )
+from matbalance import exactalgebra
+from matbalance.cli import DEGREE_CHECK_SHAPES
 from matbalance.exactalgebra import s_polynomial
 
 from conftest import random_nonsingular_2x2
@@ -224,18 +229,8 @@ class TestBuchberger:
     def test_matches_sympy_reduced_basis(self):
         rng = random.Random(41)
         for rows, cols in [(1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3)]:
-            inst = random_rational_instance(rows, cols, rng)
-            gens = build_scaling_ideal(inst)
-            mine = buchberger(gens)
-            syms = {name: sp.Symbol(name) for name in mine.variables}
-            gens_sp = [_to_sympy(g, syms) for g in gens]
-            order = [syms[v] for v in mine.variables]
-            ref = sp.groebner(gens_sp, *order, order="lex", domain="QQ")
-            ref_monic = {
-                sp.expand(e / sp.Poly(e, *order).LC(order="lex")) for e in ref.exprs
-            }
-            mine_exprs = {sp.expand(_to_sympy(g, syms)) for g in mine.polynomials}
-            assert mine_exprs == ref_monic
+            gens = build_scaling_ideal(random_rational_instance(rows, cols, rng))
+            assert _matches_sympy(gens, buchberger(gens))
 
     def test_exponent_past_packed_field_raises(self):
         vs = ("x", "y")
@@ -252,6 +247,18 @@ class TestBuchberger:
             normal_form(poly(vs, {(2, 0): 1}), [poly(vs, {(1, 0): 1, (0, near + 1): -1})])
 
 
+def _matches_sympy(gens, mine):
+    syms = {name: sp.Symbol(name) for name in mine.variables}
+    gens_sp = [_to_sympy(g, syms) for g in gens]
+    order = [syms[v] for v in mine.variables]
+    ref = sp.groebner(gens_sp, *order, order="lex", domain="QQ")
+    ref_monic = {
+        sp.expand(e / sp.Poly(e, *order).LC(order="lex")) for e in ref.exprs
+    }
+    mine_exprs = {sp.expand(_to_sympy(g, syms)) for g in mine.polynomials}
+    return mine_exprs == ref_monic
+
+
 def _to_sympy(p, syms):
     expr = sp.Integer(0)
     for mono, coeff in p.terms.items():
@@ -261,6 +268,207 @@ def _to_sympy(p, syms):
                 term *= syms[name] ** e
         expr += term
     return expr
+
+
+# The exact-degree benchmark's shapes, and those it also draws inconsistent.
+BENCH_SHAPES = ((1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3))
+INCONSISTENT_SHAPES = ((2, 2), (2, 3), (3, 3))
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """An empty trace store of this test's own, and counts of the runs taken."""
+    store = {}
+    runs = {"full": 0, "replay": 0}
+    full_run, replay = exactalgebra._full_run, exactalgebra._replay
+
+    def counted_full_run(*args):
+        runs["full"] += 1
+        return full_run(*args)
+
+    def counted_replay(*args):
+        runs["replay"] += 1
+        return replay(*args)
+
+    monkeypatch.setattr(exactalgebra, "_TRACES", store)
+    monkeypatch.setattr(exactalgebra, "_full_run", counted_full_run)
+    monkeypatch.setattr(exactalgebra, "_replay", counted_replay)
+    return store, runs
+
+
+def cold(store, gens):
+    """``buchberger`` on an empty store, which it leaves holding the new trace."""
+    store.clear()
+    return buchberger(gens)
+
+
+def outcome(gens, **budgets):
+    try:
+        return buchberger(gens, **budgets)
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+class TestTraceReplay:
+    """The store of productive S-pair traces must never change a basis."""
+
+    def test_warm_bases_equal_cold_ones(self, traces):
+        store, runs = traces
+        shapes = sorted(set(BENCH_SHAPES) | set(DEGREE_CHECK_SHAPES))
+        for rows, cols in shapes:
+            for seed in range(3):
+                rng = random.Random(f"{seed}/{rows}x{cols}")
+                draws = [random_rational_instance(rows, cols, rng) for _ in range(3)]
+                if (rows, cols) in INCONSISTENT_SHAPES:
+                    draws += [random_inconsistent_instance(rows, cols, rng) for _ in range(2)]
+                expected = [cold(store, build_scaling_ideal(inst)) for inst in draws]
+                # One trace, from the first draw, for all the others.
+                store.clear()
+                runs.update(full=0, replay=0)
+                assert [buchberger(build_scaling_ideal(inst)) for inst in draws] == expected
+                assert runs == {"full": 1, "replay": len(draws) - 1}
+                assert [b.is_unit for b in expected[3:]] == [True] * (len(draws) - 3)
+
+    @pytest.mark.parametrize("entries", [
+        ((1, 2, 3), (2, 4, 6)),  # rank one
+        ((5, 5, 5), (5, 5, 5)),  # all equal
+    ], ids=["rank-one", "all-equal"])
+    def test_non_generic_instance_on_a_generic_trace(self, traces, entries):
+        store, runs = traces
+        inst = RationalInstance(
+            entries=tuple(tuple(Fraction(v) for v in row) for row in entries),
+            row_targets=(Fraction(2), Fraction(1)),
+            col_targets=(Fraction(1), Fraction(1, 2), Fraction(3, 2)),
+            gauge=default_gauge(2, 3),
+        )
+        gens = build_scaling_ideal(inst)
+        expected = cold(store, gens)
+        generic = build_scaling_ideal(random_rational_instance(2, 3, random.Random(5)))
+        cold(store, generic)
+        runs.update(full=0, replay=0)
+        assert buchberger(gens) == expected
+        assert runs == {"full": 1, "replay": 1}
+        assert elimination_degree(expected, expected.variables[-1]) == 1
+
+    def test_wrong_leading_monomial_falls_back(self, traces):
+        store, runs = traces
+        gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(7)))
+        expected = cold(store, gens)
+        (key, trace), = store.items()
+        i, j, lead = trace.pairs[1]
+        store[key] = trace._replace(pairs=(trace.pairs[0], (i, j, lead + 1), *trace.pairs[2:]))
+        runs.update(full=0, replay=0)
+        assert buchberger(gens) == expected
+        assert runs == {"full": 1, "replay": 1}
+        # The fallback's own trace replaced the wrong one.
+        assert store[key] == trace
+
+    def test_trace_missing_a_productive_pair_fails_the_certificate(self, traces, monkeypatch):
+        store, runs = traces
+        gens = build_scaling_ideal(random_rational_instance(2, 3, random.Random(11)))
+        expected = cold(store, gens)
+        (key, trace), = store.items()
+        short = trace._replace(pairs=trace.pairs[:-1])
+        store[key] = short
+        runs.update(full=0, replay=0)
+        assert buchberger(gens) == expected
+        assert runs == {"full": 1, "replay": 1}
+        # Every traced pair replays as recorded, so only the certificate
+        # stands between the short trace and a wrong basis.
+        monkeypatch.setattr(exactalgebra, "_certified", lambda *args: True)
+        store[key] = short
+        assert buchberger(gens) != expected
+
+    def test_budgets_raise_alike_warm_and_cold(self, traces):
+        store, _ = traces
+        gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(13)))
+        other = build_scaling_ideal(random_rational_instance(2, 4, random.Random(17)))
+        cold(store, gens)
+        (trace,) = store.values()
+        basis = buchberger(gens)
+        terms = sum(len(g.terms) for g in basis.polynomials)
+        budgets = [{"max_pairs": n} for n in (0, 1, trace.processed - 1, trace.processed)]
+        budgets += [{"max_terms": n} for n in (1, 10, terms, 4 * terms)]
+        for budget in budgets:
+            store.clear()
+            expected = outcome(gens, **budget)
+            cold(store, other)
+            assert outcome(gens, **budget) == expected, budget
+        assert outcome(gens, max_pairs=trace.processed - 1) == f"processed pairs exceeded {trace.processed - 1}"
+        assert outcome(gens, max_terms=10) == "stored terms exceeded 10"
+        assert outcome(gens, max_pairs=trace.processed) == basis
+
+    def test_store_stops_growing_at_its_cap(self, traces, monkeypatch):
+        store, runs = traces
+        monkeypatch.setattr(exactalgebra, "TRACE_CACHE_SIZE", 3)
+        rng = random.Random(19)
+        sizes = []
+        for rows, cols in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3)):
+            gens = build_scaling_ideal(random_rational_instance(rows, cols, rng))
+            expected = buchberger(gens)
+            assert buchberger(gens) == expected
+            sizes.append(len(store))
+        assert sizes == [1, 2, 3, 3, 3]
+        assert runs == {"full": 7, "replay": 3}
+        keys = list(store)
+        # A full key is still refreshed: a fallback replaces its trace.
+        gens = build_scaling_ideal(random_rational_instance(2, 2, rng))
+        store[keys[0]] = store[keys[0]]._replace(leads=())
+        buchberger(gens)
+        assert store[keys[0]].leads
+
+    def test_warm_bases_match_sympy(self, traces):
+        store, runs = traces
+        rng = random.Random(43)
+        for rows, cols in BENCH_SHAPES:
+            buchberger(build_scaling_ideal(random_rational_instance(rows, cols, rng)))
+        runs.update(full=0, replay=0)
+        for rows, cols in BENCH_SHAPES:
+            gens = build_scaling_ideal(random_rational_instance(rows, cols, rng))
+            assert _matches_sympy(gens, buchberger(gens))
+        assert runs == {"full": 0, "replay": len(BENCH_SHAPES)}
+
+    def test_threads_on_a_cold_store_agree_with_a_serial_run(self, traces):
+        store, _ = traces
+        rng = random.Random(47)
+        work = [[build_scaling_ideal(random_rational_instance(3, 3, rng)) for _ in range(3)] for _ in range(4)]
+        serial = [[cold(store, gens) for gens in part] for part in work]
+        store.clear()
+        assert _in_threads([lambda part=part: [buchberger(gens) for gens in part] for part in work]) == serial
+        assert len(store) == 1
+
+    def test_threads_keep_the_store_within_its_cap(self, traces, monkeypatch):
+        store, _ = traces
+        monkeypatch.setattr(exactalgebra, "TRACE_CACHE_SIZE", 2)
+        inst = random_rational_instance(2, 2, random.Random(53))
+        # Six variable orders give six keys; each thread offers all of them.
+        orders = list(itertools.permutations(scaling_variables(2, 2, inst.gauge)))
+        work = [[build_scaling_ideal(inst, order) for order in orders[k:] + orders[:k]] for k in range(6)]
+        _in_threads([lambda part=part: [buchberger(gens) for gens in part] for part in work])
+        assert len(store) == 2
+
+
+def _in_threads(jobs):
+    """Run each job in its own thread, all started together with a short switch interval; their results."""
+    results = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def run(k):
+        start.wait()
+        results[k] = jobs[k]()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
 
 
 class TestNormalForm:
