@@ -35,11 +35,11 @@ from .iterative import (
     sinkhorn_iterate,
 )
 from .closedform import (
-    DEFAULT_SINGULARITY_THRESHOLD,
     NearSingular,
     NegativeDiscriminant,
     NonPositiveRoot,
     QuadraticData,
+    SINGULARITY_THRESHOLD,
     UnsupportedShape,
     WrongShape,
     closed_form_1xn,

@@ -3,12 +3,12 @@
 Commands, and the flags each one reads:
     scale         balance a matrix to the target sums and print the result.
                   Flags: --rows/--cols (CSV or matrix-only input), --method,
-                  --tol, --max-iters, --singularity-threshold, --format.
+                  --tol, --max-iters, --format.
     factors       as scale, and print the gauge-normalized scaling factors.
                   Flags: those of scale plus --gauge.
     compare       run both the iterative and closed-form routes and report
                   the entrywise gap between them.  Flags: --rows/--cols,
-                  --tol, --max-iters, --singularity-threshold, --format.
+                  --tol, --max-iters, --format.
     degree-check  certify the algebraic-degree table on seeded random
                   exact-rational instances (--seed, --count), or on one
                   exact-parsed input file (--rows/--cols, --gauge).  Both
@@ -33,16 +33,13 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .closedform import (
-    DEFAULT_SINGULARITY_THRESHOLD,
-    UnsupportedShape,
-    closed_form_dispatch,
-)
+from .closedform import UnsupportedShape, closed_form_dispatch
 from .core import (
     GaugeFix,
     InconsistentMarginals,
@@ -87,6 +84,10 @@ EXIT_NOT_CONVERGED = 4
 EXIT_RESOURCE_LIMIT = 5
 
 
+# The exponent of a decimal literal, in the syntax Fraction accepts.
+_EXPONENT = re.compile(r"\A[-+]?[\d_.]*e[-+]?(\d+(?:_\d+)*)\Z", re.IGNORECASE)
+
+
 class ParseError(MatrixBalanceError, ValueError):
     """Malformed input document; carries 1-based line and column."""
 
@@ -98,6 +99,12 @@ class ParseError(MatrixBalanceError, ValueError):
 
 def _parse_number(text: str, exact: bool, line: int, column: int):
     text = text.strip()
+    # Python refuses to convert integer strings past a digit limit
+    # (3.10.7 and later; 0 means no limit, and 4300 is the default).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if exact and (exponent := _EXPONENT.match(text)) and float(exponent[1]) > (limit or 4300):
+        # Refused before Fraction spends seconds building 10**exponent.
+        raise ParseError(f"exponent past Python's integer-string limit of {limit or 4300}: {text!r}", line, column)
     try:
         if exact:
             return Fraction(text)
@@ -106,9 +113,6 @@ def _parse_number(text: str, exact: bool, line: int, column: int):
         except ValueError:
             value = float(Fraction(text))
     except (ValueError, ZeroDivisionError):
-        # Python refuses to convert integer strings past a digit limit
-        # (3.10.7 and later; 0 means no limit).
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         digits = sum(ch.isdigit() for ch in text)
         if limit and digits > limit:
             message = f"{digits} digits, past Python's integer-string limit of {limit}"
@@ -182,7 +186,8 @@ def _parse_json_document(text: str, exact: bool):
         doc = json.loads(text, parse_float=number, parse_int=number, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    if not isinstance(doc, dict) or "matrix" not in doc:
+    # The text starts with "{", so the document is an object.
+    if "matrix" not in doc:
         raise ParseError("document must be an object with a 'matrix' field", 1, 1)
     matrix = doc["matrix"]
     if not isinstance(matrix, list) or not all(_is_number_array(row) for row in matrix):
@@ -257,9 +262,9 @@ def _solve(args: argparse.Namespace, instance: ValidatedInstance, config: Iterat
     if args.method == "iterative":
         return sinkhorn_iterate(instance, config)
     if args.method == "closed-form":
-        return closed_form_dispatch(instance, args.singularity_threshold)
+        return closed_form_dispatch(instance)
     try:
-        return closed_form_dispatch(instance, args.singularity_threshold)
+        return closed_form_dispatch(instance)
     except UnsupportedShape:
         return sinkhorn_iterate(instance, config)
 
@@ -322,7 +327,7 @@ def _run_compare(args: argparse.Namespace) -> tuple[dict, int]:
         "ok": True,
     }
     try:
-        closed = closed_form_dispatch(instance, args.singularity_threshold)
+        closed = closed_form_dispatch(instance)
     except UnsupportedShape:
         return doc, EXIT_OK
     gap = float(np.max(np.abs(closed.matrix - iterative_result.matrix)))
@@ -462,12 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (scale, factors, compare):
         p.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance")
         p.add_argument("--max-iters", type=int, default=1000)
-        p.add_argument(
-            "--singularity-threshold",
-            type=float,
-            default=DEFAULT_SINGULARITY_THRESHOLD,
-            help="route 2x2 to the singular formula when |det| <= threshold * alpha",
-        )
     for p in (factors, degree):
         p.add_argument("--gauge", default=None, help="factor pinned to 1: r,INDEX or c,INDEX (1-based)")
     degree.add_argument("--seed", type=int, default=None, help=f"seeded mode only (default {DEGREE_CHECK_SEED})")

@@ -31,8 +31,9 @@ from .core import (
     max_abs_residual,
 )
 
-# |det| <= threshold * alpha routes to the singular formula.
-DEFAULT_SINGULARITY_THRESHOLD = 1e-12
+# |det| <= threshold * alpha routes to the singular formula: where floating
+# point no longer tells the two limits apart, not a property of the limit.
+SINGULARITY_THRESHOLD = 1e-12
 # |det| < ratio * alpha switches the nonsingular formula to compensated forms.
 COMPENSATED_DET_RATIO = 1e-6
 
@@ -196,10 +197,7 @@ def _entries_2x2(instance: ValidatedInstance, data: QuadraticData) -> tuple[floa
     return s11, s12, s21, s22
 
 
-def closed_form_2x2(
-    instance: ValidatedInstance,
-    singularity_threshold: float = DEFAULT_SINGULARITY_THRESHOLD,
-) -> ScaledResult:
+def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
     """Nonsingular 2x2 limit from the explicit quadratic-root entries.
 
     All four entries must come out strictly positive; a nonpositive entry
@@ -207,9 +205,9 @@ def closed_form_2x2(
     :class:`NonPositiveRoot` instead of silently switching branches.
     """
     data = quadratic_data(instance)
-    if abs(data.det) <= singularity_threshold * data.alpha:
+    if abs(data.det) <= SINGULARITY_THRESHOLD * data.alpha:
         raise NearSingular(
-            f"|det| = {abs(data.det)!r} <= {singularity_threshold!r} * alpha; "
+            f"|det| = {abs(data.det)!r} <= {SINGULARITY_THRESHOLD!r} * alpha; "
             "use the singular formula"
         )
     return _nonsingular_2x2(instance, data)
@@ -239,19 +237,22 @@ def _nonsingular_2x2(instance: ValidatedInstance, data: QuadraticData) -> Scaled
     return _result(matrix, factors, instance.marginals, "closed_form_2x2")
 
 
-def closed_form_2x2_singular(
-    marginals: Marginals,
-    consistency_tol: float = DEFAULT_CONSISTENCY_TOL,
-) -> ScaledResult:
+def closed_form_2x2_singular(marginals: Marginals) -> ScaledResult:
     """Singular 2x2 limit; depends on the targets only, not the matrix.
 
     This is the maximum entropy solution ``s_ij = R_i C_j / total``: a
     singular matrix carries only proportion information, so the limit is
-    shaped entirely by the external constraints.
+    shaped entirely by the external constraints.  The targets must agree
+    within ``DEFAULT_CONSISTENCY_TOL``.
     """
     if marginals.row_targets.size != 2 or marginals.col_targets.size != 2:
         raise WrongShape("singular closed form requires 2 row and 2 col targets")
-    marginals.check_consistent(consistency_tol)
+    marginals.check_consistent(DEFAULT_CONSISTENCY_TOL)
+    return _singular_2x2(marginals)
+
+
+def _singular_2x2(marginals: Marginals) -> ScaledResult:
+    """The body of :func:`closed_form_2x2_singular` for targets already checked."""
     r2t = marginals.row_targets[1]
     c1t, c2t = marginals.col_targets
     ctotal = c1t + c2t
@@ -261,10 +262,7 @@ def closed_form_2x2_singular(
     return _result(matrix, None, marginals, "closed_form_2x2_singular")
 
 
-def closed_form_dispatch(
-    instance: ValidatedInstance,
-    singularity_threshold: float = DEFAULT_SINGULARITY_THRESHOLD,
-) -> ScaledResult:
+def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:
     """Route to the formula matching the instance shape.
 
     Raises:
@@ -276,8 +274,9 @@ def closed_form_dispatch(
         return closed_form_nx1(instance)
     if instance.rows == 2 and instance.cols == 2:
         data = quadratic_data(instance)
-        if abs(data.det) <= singularity_threshold * data.alpha:
-            return closed_form_2x2_singular(instance.marginals, instance.consistency_tol)
+        if abs(data.det) <= SINGULARITY_THRESHOLD * data.alpha:
+            # validate_instance has checked the targets' consistency.
+            return _singular_2x2(instance.marginals)
         return _nonsingular_2x2(instance, data)
     raise UnsupportedShape(
         f"no closed form for shape {instance.rows}x{instance.cols}; use the iterative solver"

@@ -243,7 +243,6 @@ class ValidatedInstance:
 
     matrix: PositiveMatrix
     marginals: Marginals
-    consistency_tol: float
 
     @property
     def rows(self) -> int:
@@ -275,7 +274,7 @@ def validate_instance(
         raise ValueError("consistency_tol must be >= 0")
     check_target_lengths(matrix.rows, matrix.cols, marginals.row_targets.size, marginals.col_targets.size)
     marginals.check_consistent(consistency_tol)
-    return ValidatedInstance(matrix=matrix, marginals=marginals, consistency_tol=consistency_tol)
+    return ValidatedInstance(matrix=matrix, marginals=marginals)
 
 
 def apply_scaling(matrix, factors: ScalingPair) -> np.ndarray:
@@ -320,8 +319,4 @@ def transpose_instance(instance: ValidatedInstance) -> ValidatedInstance:
 
     Applying twice returns a bitwise-identical copy of the original.
     """
-    return ValidatedInstance(
-        matrix=instance.matrix.transpose(),
-        marginals=instance.marginals.swap(),
-        consistency_tol=instance.consistency_tol,
-    )
+    return ValidatedInstance(matrix=instance.matrix.transpose(), marginals=instance.marginals.swap())

@@ -74,10 +74,11 @@ class NonPositiveLambda(MatrixBalanceError, ValueError):
 class IterationConfig:
     """Stopping rule for the fixed-point iteration.
 
-    The iteration stops once the Frobenius norm of the difference between
-    successive iterates is below ``tolerance`` and every row/column residual
-    is within ``tolerance`` relative to its target, which is the contract
-    callers actually care about.
+    The iteration stops once every row/column residual is within
+    ``tolerance * max(1, target)``, relative to a target above 1 and
+    absolute below it, and the Frobenius norm of the difference between
+    successive iterates is below ``tolerance``, absolute at every scale.
+    A contract relative to the targets' scale is open item 1 of ROADMAP.md.
     """
 
     tolerance: float = 1e-9

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,13 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matbalance import ResourceLimit, cli
 from matbalance.cli import (
     EXIT_DEFECT,
     EXIT_INCONSISTENT,
     EXIT_INVALID_INPUT,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    EXIT_RESOURCE_LIMIT,
     ParseError,
+    build_parser,
     main,
     parse_input,
     _parse_gauge,
@@ -163,6 +167,33 @@ class TestParseInput:
         assert (code, out) == (EXIT_INVALID_INPUT, "")
         assert err.startswith("error: ") and reason in err
 
+    @pytest.mark.parametrize("exponent", ["30000000", "-30000000", "{limit1}", "-{limit1}"])
+    @pytest.mark.parametrize("where, position", [
+        ("cell", "line 2, column 1"), ("rows", "line 1, column 2"), ("json", "line 1, column 1"),
+    ])
+    def test_exact_literal_with_an_exponent_past_the_digit_limit(self, capsys, tmp_path, exponent, where, position):
+        # Fraction would build 10**exponent, with millions of digits for 1e30000000.
+        limit = sys.get_int_max_str_digits() or 4300
+        literal = "1e" + exponent.format(limit1=limit + 1)
+        if where == "json":
+            path = tmp_path / "big.json"
+            path.write_text('{"matrix": [[%s, 2], [3, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}' % literal)
+            argv = ["degree-check", str(path)]
+        else:
+            path = tmp_path / "matrix.csv"
+            path.write_text(f"1,2\n{literal if where == 'cell' else 3},4\n")
+            rows = f"1,{literal}" if where == "rows" else "1,1"
+            argv = ["degree-check", str(path), "--rows", rows, "--cols", "1,1"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == f"error: exponent past Python's integer-string limit of {limit}: {literal!r} ({position})\n"
+
+    def test_exact_literals_with_exponents_within_the_digit_limit(self, csv_doc):
+        limit = sys.get_int_max_str_digits() or 4300
+        rows = f"1e400,1e-{limit}"
+        _, parsed, _ = parse_input(csv_doc, rows_flag=rows, cols_flag=f"1e{limit},1", exact=True)
+        assert parsed == [Fraction(10) ** 400, Fraction(1, 10**limit)]
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             parse_input("/nonexistent/input.json")
@@ -260,6 +291,10 @@ class TestFlagValidation:
         ["degree-check", "--method", "iterative"],
         ["degree-check", "--max-iters", "5"],
         ["degree-check", "--singularity-threshold", "0.1"],
+        # The 2x2 singularity test is the fixed closedform.SINGULARITY_THRESHOLD.
+        ["scale", "{pair}", "--singularity-threshold", "0.1"],
+        ["factors", "{pair}", "--singularity-threshold", "0.1"],
+        ["compare", "{pair}", "--singularity-threshold", "0.1"],
     ])
     def test_flag_of_another_command_is_a_usage_error(self, capsys, json_doc, argv):
         argv = [arg.format(pair=json_doc) for arg in argv]
@@ -267,6 +302,71 @@ class TestFlagValidation:
             main(argv)
         assert exit_info.value.code == EXIT_INVALID_INPUT
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_command_declares_the_flags_it_reads(self):
+        subcommands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        flags = {
+            name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, p in subcommands.items()
+        }
+        assert flags == {
+            "scale": ["--rows", "--cols", "--method", "--tol", "--max-iters", "--format"],
+            "factors": ["--rows", "--cols", "--method", "--tol", "--max-iters", "--gauge", "--format"],
+            "compare": ["--rows", "--cols", "--tol", "--max-iters", "--format"],
+            "degree-check": ["--rows", "--cols", "--gauge", "--seed", "--count", "--format"],
+        }
+
+
+class TestDocumentShapes:
+    """Input documents that are read as matrix-only, refused, or skipped around."""
+
+    def write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"row_sums": [1, 1], "col_sums": [1, 1]}', "document must be an object with a 'matrix' field"),
+        ('{"matrix": [[1, 2], [3, 4]], "row_sums": [1, 1]}', "document needs both 'row_sums' and 'col_sums'"),
+        ('{"matrix": [[1, 2], [3, 4]], "col_sums": [1, 1]}', "document needs both 'row_sums' and 'col_sums'"),
+        # Only a document that starts with "{" is JSON; an array is read as CSV.
+        ("[[1, 2], [3, 4]]", "not a number: '[[1'"),
+        ("\n  \n\n", "empty matrix"),
+    ], ids=["no-matrix", "no-col-sums", "no-row-sums", "array", "blank-csv"])
+    @pytest.mark.parametrize("command", ["scale", "degree-check"])
+    def test_refused_documents(self, capsys, tmp_path, command, text, message):
+        argv = [command, self.write(tmp_path, "doc", text)]
+        if "sums" not in text:
+            argv += ["--rows", "1,1", "--cols", "1,1"]
+        assert run_main(capsys, argv) == (EXIT_INVALID_INPUT, "", f"error: {message} (line 1, column 1)\n")
+
+    @pytest.mark.parametrize("command", ["scale", "degree-check"])
+    def test_matrix_only_json_takes_flag_targets(self, capsys, tmp_path, json_doc, command):
+        matrix_only = self.write(tmp_path, "m.json", '{"matrix": [[1, 2], [3, 4]]}')
+        expected = run_main(capsys, [command, json_doc])
+        assert expected[0] == EXIT_OK
+        assert run_main(capsys, [command, matrix_only, "--rows", "1,1", "--cols", "1,1"]) == expected
+
+    def test_blank_lines_inside_a_csv_are_skipped(self, capsys, tmp_path, csv_doc):
+        spaced = self.write(tmp_path, "spaced.csv", "\n2,4\n  \n3,6\n\n")
+        targets = ["--rows", "1,1", "--cols", "1,1"]
+        expected = run_main(capsys, ["scale", csv_doc, *targets])
+        assert expected[0] == EXIT_OK
+        assert run_main(capsys, ["scale", spaced, *targets]) == expected
+        # Positions still count the skipped lines.
+        broken = self.write(tmp_path, "broken.csv", "2,4\n\n3,x\n")
+        assert run_main(capsys, ["scale", broken, *targets]) == (
+            EXIT_INVALID_INPUT, "", "error: not a number: 'x' (line 3, column 2)\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["compare", "{pair}"], ["degree-check", "{pair}"]])
+    def test_csv_format_of_a_report_without_a_matrix_is_one_json_line(self, capsys, json_doc, argv):
+        argv = [arg.format(pair=json_doc) for arg in argv]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert run_main(capsys, [*argv, "--format", "csv"]) == (EXIT_OK, json.dumps(json.loads(out)) + "\n", "")
 
 
 class TestScaleCommand:
@@ -495,6 +595,15 @@ class TestDegreeCheckCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["degree"] == 1
+
+    @pytest.mark.parametrize("argv", [["degree-check", "--count", "1"], ["degree-check", "{pair}"]])
+    def test_resource_limit_exits_5(self, capsys, monkeypatch, json_doc, argv):
+        def exhausted(generators):
+            raise ResourceLimit("pair budget 0 exhausted")
+
+        monkeypatch.setattr(cli, "buchberger", exhausted)
+        argv = [arg.format(pair=json_doc) for arg in argv]
+        assert run_main(capsys, argv) == (EXIT_RESOURCE_LIMIT, "", "error: pair budget 0 exhausted\n")
 
     def test_csv_format(self, capsys):
         code, out, _ = run_main(

@@ -265,9 +265,9 @@ class TestClosedForm2x2Singular:
     def test_inconsistency_worded_as_in_validation(self):
         marginals = Marginals([1.0, 1.0], [1.0, 2.5])
         with pytest.raises(InconsistentMarginals) as singular:
-            closed_form_2x2_singular(marginals, 1e-12)
+            closed_form_2x2_singular(marginals)
         with pytest.raises(InconsistentMarginals) as validated:
-            validate_instance(PositiveMatrix([[2, 4], [3, 6]]), marginals, 1e-12)
+            validate_instance(PositiveMatrix([[2, 4], [3, 6]]), marginals)
         assert str(singular.value) == str(validated.value)
         assert singular.value.defect == validated.value.defect == 1.5
 

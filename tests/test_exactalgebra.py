@@ -379,6 +379,20 @@ class TestTraceReplay:
         store[key] = short
         assert buchberger(gens) != expected
 
+    def test_certificate_checks_the_s_pairs_of_the_basis(self):
+        # Lex x > y.  Both generators of {x^2 - y, xy - 1} reduce to 0 modulo
+        # themselves, but their S-pair y(x^2 - y) - x(xy - 1) = x - y^2 does
+        # not, so they are no Groebner basis; {x - y^2, y^3 - 1} is one.
+        packing = exactalgebra.Packing(2)
+
+        def poly(*terms):
+            return {packing.pack(mono): coeff for mono, coeff in terms}
+
+        gens = [poly(((2, 0), 1), ((0, 1), -1)), poly(((1, 1), 1), ((0, 0), -1))]
+        assert not exactalgebra._certified(gens, gens, packing)
+        basis = [poly(((1, 0), 1), ((0, 2), -1)), poly(((0, 3), 1), ((0, 0), -1))]
+        assert exactalgebra._certified(basis, gens, packing)
+
     def test_budgets_raise_alike_warm_and_cold(self, traces):
         store, _ = traces
         gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(13)))
