@@ -20,15 +20,10 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import MatrixBalanceError
+from .errors import ResourceLimit
 
 FIELD_BITS = 16
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
-
-
-class ResourceLimit(MatrixBalanceError):
-    """Basis computation exceeded the configured pair or term budget, or an
-    exponent reached the packed field limit."""
 
 
 class Divisor(NamedTuple):

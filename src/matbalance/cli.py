@@ -24,6 +24,13 @@ sees the user's literal data.
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 cross-method defect, 2 invalid input, 3 inconsistent marginals,
 4 not converged, 5 algebra resource limit.
+
+At module level this file imports only the standard library and
+:mod:`matbalance.errors`, which holds every error mapped to an exit code.
+Each command imports its route where it runs: scale, factors and compare
+load numpy, ``core``, ``iterative`` and ``closedform``; degree-check loads
+only ``exactalgebra``, so it runs without numpy; ``fractions`` is loaded
+only where a Fraction is built.
 """
 
 from __future__ import annotations
@@ -32,43 +39,27 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import random
 import re
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .closedform import UnsupportedShape, closed_form_dispatch
-from .core import (
+from .errors import (
     GaugeFix,
     InconsistentMarginals,
-    Marginals,
     MatrixBalanceError,
-    PositiveMatrix,
-    ScaledResult,
+    NotConverged,
+    ResourceLimit,
     ShapeMismatch,
-    ValidatedInstance,
+    UnitIdeal,
     check_grid,
     default_gauge,
-    residuals,
-    validate_instance,
 )
-from .exactalgebra import (
-    RationalInstance,
-    ResourceLimit,
-    UnitIdeal,
-    buchberger,
-    build_scaling_ideal,
-    elimination_degree,
-    random_rational_instance,
-)
-from .iterative import (
-    IterationConfig,
-    NotConverged,
-    extract_factors,
-    sinkhorn_iterate,
-)
+
+if TYPE_CHECKING:
+    from .core import ScaledResult, ValidatedInstance
+    from .iterative import IterationConfig
 
 SCHEMA_VERSION = 1
 COMPARE_GAP_TOL = 1e-6
@@ -107,10 +98,14 @@ def _parse_number(text: str, exact: bool, line: int, column: int):
         raise ParseError(f"exponent past Python's integer-string limit of {limit or 4300}: {text!r}", line, column)
     try:
         if exact:
+            from fractions import Fraction
+
             return Fraction(text)
         try:
             value = float(text)
         except ValueError:
+            from fractions import Fraction
+
             value = float(Fraction(text))
     except (ValueError, ZeroDivisionError):
         digits = sum(ch.isdigit() for ch in text)
@@ -170,7 +165,7 @@ def parse_input(
 def _is_number_array(value) -> bool:
     # bool subclasses int, but a JSON true or false is not a number.
     return isinstance(value, list) and all(
-        isinstance(v, (int, float, Fraction)) and not isinstance(v, bool) for v in value
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value
     )
 
 
@@ -247,10 +242,16 @@ def _fit_gauge(gauge: GaugeFix | None, rows: int, cols: int) -> GaugeFix:
 
 
 def _iteration_config(args: argparse.Namespace) -> IterationConfig:
+    from .iterative import IterationConfig
+
     return IterationConfig(tolerance=args.tol, max_iterations=args.max_iters)
 
 
 def _read_instance(args: argparse.Namespace) -> ValidatedInstance:
+    import numpy as np
+
+    from .core import Marginals, PositiveMatrix, validate_instance
+
     matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols)
     return validate_instance(
         PositiveMatrix(np.array(matrix, dtype=float)),
@@ -259,6 +260,9 @@ def _read_instance(args: argparse.Namespace) -> ValidatedInstance:
 
 
 def _solve(args: argparse.Namespace, instance: ValidatedInstance, config: IterationConfig) -> ScaledResult:
+    from .closedform import UnsupportedShape, closed_form_dispatch
+    from .iterative import sinkhorn_iterate
+
     if args.method == "iterative":
         return sinkhorn_iterate(instance, config)
     if args.method == "closed-form":
@@ -272,6 +276,8 @@ def _solve(args: argparse.Namespace, instance: ValidatedInstance, config: Iterat
 def _result_document(
     command: str, config: IterationConfig, instance: ValidatedInstance, result: ScaledResult
 ) -> dict:
+    from .core import residuals
+
     row_res, col_res = residuals(result.matrix, instance.marginals)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -297,6 +303,8 @@ def _run_scale(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_factors(args: argparse.Namespace) -> tuple[dict, int]:
+    from .iterative import extract_factors, sinkhorn_iterate
+
     config = _iteration_config(args)
     gauge = _parse_gauge(args.gauge)
     instance = _read_instance(args)
@@ -314,6 +322,11 @@ def _run_factors(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_compare(args: argparse.Namespace) -> tuple[dict, int]:
+    import numpy as np
+
+    from .closedform import UnsupportedShape, closed_form_dispatch
+    from .iterative import sinkhorn_iterate
+
     config = _iteration_config(args)
     instance = _read_instance(args)
     iterative_result = sinkhorn_iterate(instance, config)
@@ -348,6 +361,8 @@ def _reject_flags(args: argparse.Namespace, names: tuple[str, ...], mode: str) -
 
 
 def _run_degree_check(args: argparse.Namespace) -> tuple[dict, int]:
+    from .exactalgebra import buchberger, build_scaling_ideal, elimination_degree, random_rational_instance
+
     if args.input is not None:
         _reject_flags(args, ("seed", "count"), "with an input file")
         return _degree_check_single(args)
@@ -394,6 +409,8 @@ def _run_degree_check(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _degree_check_single(args: argparse.Namespace) -> tuple[dict, int]:
+    from .exactalgebra import RationalInstance, buchberger, build_scaling_ideal, elimination_degree
+
     gauge = _parse_gauge(args.gauge)
     matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols, exact=True)
     rows, cols = len(matrix), len(matrix[0])

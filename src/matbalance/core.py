@@ -1,15 +1,14 @@
-"""Domain types, validation, and the entrywise-scaling algebra shared by all solvers.
+"""Float domain types, validation, and the entrywise-scaling algebra shared by the float solvers.
 
 A balancing problem is a strictly positive matrix together with target row
 and column sums.  A solution exists only when the two target totals agree,
 so instances are validated once and the resulting :class:`ValidatedInstance`
-is the sole currency accepted by the solvers.  Each validation decision of
-both input routes, float and exact, has its one home here, so the two raise
-the same typed errors in the same words: shape (:func:`check_grid`,
-:func:`check_target_lengths`, :func:`empty_error`), positivity
-(:func:`nonpositive_error`), consistency (:meth:`Marginals.check_consistent`)
-and the gauge (:class:`GaugeFix`, :func:`default_gauge`).  This module
-imports no other module of the package.
+is the sole currency accepted by the solvers.  The checks that the float and
+exact routes share, shape, positivity and the gauge, live in the numpy-free
+:mod:`matbalance.errors`; this module applies them to numpy arrays, decides
+consistency (:meth:`Marginals.check_consistent`) and re-exports them, so
+``from matbalance.core import GaugeFix`` keeps working.  That is the one
+other module of the package it imports.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -17,61 +16,26 @@ so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-DEFAULT_CONSISTENCY_TOL = 1e-9
-GAUGE_KINDS = ("unit_row_factor", "unit_col_factor")
-
-
-class MatrixBalanceError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class NonPositiveInput(MatrixBalanceError, ValueError):
-    """An entry, target sum, or factor is not strictly positive and finite."""
-
-
-class ShapeMismatch(MatrixBalanceError, ValueError):
-    """Vector lengths disagree with the matrix shape."""
-
-
-class InconsistentMarginals(MatrixBalanceError, ValueError):
-    """The row-target total differs from the column-target total."""
-
-    def __init__(self, message: str, defect: float):
-        super().__init__(message)
-        self.defect = defect
-
-
-def empty_error(name: str) -> ShapeMismatch:
-    """The error for an empty matrix or target vector ``name``, float or exact."""
-    return ShapeMismatch(f"{name} must be nonempty")
-
-
-def check_grid(grid) -> tuple[int, int]:
-    """Shape of a matrix given as a sequence of rows; ShapeMismatch unless nonempty and rectangular."""
-    if not (len(grid) and len(grid[0])):
-        raise empty_error("matrix")
-    width = len(grid[0])
-    if any(len(row) != width for row in grid):
-        raise ShapeMismatch("matrix rows have unequal lengths")
-    return len(grid), width
-
-
-def check_target_lengths(rows: int, cols: int, row_targets: int, col_targets: int) -> None:
-    """Raise ShapeMismatch unless there is one target per row and one per column."""
-    if row_targets != rows:
-        raise ShapeMismatch(f"{row_targets} row targets for a matrix with {rows} rows")
-    if col_targets != cols:
-        raise ShapeMismatch(f"{col_targets} col targets for a matrix with {cols} cols")
-
-
-def nonpositive_error(name: str) -> NonPositiveInput:
-    """The error for a zero or negative entry of ``name``, float or exact."""
-    return NonPositiveInput(f"{name} contains entries <= 0; all values must be strictly positive")
+from .errors import (  # noqa: F401  (re-exported: core was their home)
+    DEFAULT_CONSISTENCY_TOL,
+    GAUGE_KINDS,
+    GaugeFix,
+    InconsistentMarginals,
+    MatrixBalanceError,
+    NonPositiveInput,
+    ShapeMismatch,
+    check_grid,
+    check_target_lengths,
+    default_gauge,
+    empty_error,
+    nonpositive_error,
+)
 
 
 def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
@@ -171,33 +135,6 @@ class Marginals:
         return Marginals(self.col_targets, self.row_targets)
 
 
-@dataclass(frozen=True)
-class GaugeFix:
-    """Pin one scaling factor to 1: row factor ``index`` or column factor ``index``."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in GAUGE_KINDS:
-            raise ValueError(f"gauge kind must be one of {GAUGE_KINDS}")
-        if self.index < 0:
-            raise ValueError("gauge index must be >= 0")
-
-    def check_fits(self, rows: int, cols: int) -> None:
-        """Raise ShapeMismatch unless the pinned factor exists in a ``rows x cols`` problem."""
-        if self.kind == "unit_row_factor":
-            if self.index >= rows:
-                raise ShapeMismatch(f"row gauge index {self.index} for {rows} rows")
-        elif self.index >= cols:
-            raise ShapeMismatch(f"col gauge index {self.index} for {cols} cols")
-
-
-def default_gauge(rows: int, cols: int) -> GaugeFix:
-    """Pin the last column factor, or the single row factor for one-row shapes."""
-    return GaugeFix("unit_row_factor", 0) if rows == 1 else GaugeFix("unit_col_factor", cols - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class ScalingPair:
     """Diagonal row/column scaling factors.
@@ -265,11 +202,14 @@ def validate_instance(
         InconsistentMarginals: the totals differ by more than
             ``consistency_tol * max(total row targets, total col targets)``.
         NonPositiveInput: propagated from type construction.
+        ValueError: ``consistency_tol`` is negative, NaN or infinite.
     """
     if not isinstance(matrix, PositiveMatrix):
         matrix = PositiveMatrix(matrix)
     if not isinstance(marginals, Marginals):
         raise TypeError("marginals must be a Marginals value")
+    if not math.isfinite(consistency_tol):
+        raise ValueError(f"consistency_tol must be finite, got {consistency_tol!r}")
     if consistency_tol < 0:
         raise ValueError("consistency_tol must be >= 0")
     check_target_lengths(matrix.rows, matrix.cols, marginals.row_targets.size, marginals.col_targets.size)

@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._packed import Divisor, Packing, ResourceLimit, reduce, reduce_basis, s_work, update_pairs
-from .core import (
+from ._packed import Divisor, Packing, reduce, reduce_basis, s_work, update_pairs
+from .errors import (
     GaugeFix,
     MatrixBalanceError,
+    ResourceLimit,
+    UnitIdeal,
     check_grid,
     check_target_lengths,
     default_gauge,
@@ -50,10 +52,6 @@ DEFAULT_MAX_TERMS = 1_000_000
 
 class NotZeroDimensional(MatrixBalanceError):
     """No univariate elimination polynomial exists in the last variable."""
-
-
-class UnitIdeal(MatrixBalanceError):
-    """The ideal is the whole ring (the system has no solution)."""
 
 
 class MissingAssignment(MatrixBalanceError, KeyError):

@@ -49,17 +49,7 @@ from .core import (
     apply_scaling,
     max_abs_residual,
 )
-
-
-class NotConverged(MatrixBalanceError):
-    """Iteration budget exhausted before meeting the convergence contract.
-
-    The partial :class:`~matbalance.core.ScaledResult` is attached as ``result``.
-    """
-
-    def __init__(self, message: str, result: ScaledResult):
-        super().__init__(message)
-        self.result = result
+from .errors import NotConverged
 
 
 class FactorsUnavailable(MatrixBalanceError):
@@ -85,6 +75,8 @@ class IterationConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance!r}")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:

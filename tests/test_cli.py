@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matbalance import ResourceLimit, cli
+from matbalance import ResourceLimit, exactalgebra
 from matbalance.cli import (
     EXIT_DEFECT,
     EXIT_INCONSISTENT,
@@ -261,6 +261,8 @@ class TestFlagValidation:
     # checked before any route is chosen.
     @pytest.mark.parametrize("argv, message", [
         (["scale", "{pair}", "--tol", "0"], "tolerance must be > 0"),
+        (["scale", "{pair}", "--tol", "inf", "--method", "iterative"], "tolerance must be finite, got inf"),
+        (["factors", "{pair}", "--tol", "nan"], "tolerance must be finite, got nan"),
         (["scale", "{pair}", "--max-iters", "0"], "max_iterations must be >= 1"),
         (["compare", "{pair}", "--tol=-1e-9"], "tolerance must be > 0"),
         (["degree-check", "--seed", str(2**64)], "seed must fit in 64 bits"),
@@ -272,8 +274,8 @@ class TestFlagValidation:
         (["degree-check", "{pair}", "--seed", "1"], "--seed cannot be used with an input file"),
         (["degree-check", "{pair}", "--count", "2"], "--count cannot be used with an input file"),
     ], ids=[
-        "scale-tol", "scale-max-iters", "compare-tol", "seed-too-large", "seed-negative", "count-zero",
-        "count-negative", "seeded-gauge", "seeded-rows-cols", "file-seed", "file-count",
+        "scale-tol", "scale-tol-inf", "factors-tol-nan", "scale-max-iters", "compare-tol", "seed-too-large",
+        "seed-negative", "count-zero", "count-negative", "seeded-gauge", "seeded-rows-cols", "file-seed", "file-count",
     ])
     def test_bad_value_exits_2(self, capsys, json_doc, argv, message):
         argv = [arg.format(pair=json_doc) for arg in argv]
@@ -601,7 +603,8 @@ class TestDegreeCheckCommand:
         def exhausted(generators):
             raise ResourceLimit("pair budget 0 exhausted")
 
-        monkeypatch.setattr(cli, "buchberger", exhausted)
+        # The runners import the engine when they run, so they look it up there.
+        monkeypatch.setattr(exactalgebra, "buchberger", exhausted)
         argv = [arg.format(pair=json_doc) for arg in argv]
         assert run_main(capsys, argv) == (EXIT_RESOURCE_LIMIT, "", "error: pair budget 0 exhausted\n")
 

@@ -93,6 +93,18 @@ class TestValidateInstance:
             )
         assert err.value.defect == pytest.approx(1.0, abs=0)
 
+    # An infinite tolerance would accept any targets, and a NaN one would
+    # refuse consistent targets with a defect of 0.
+    @pytest.mark.parametrize("tol, message", [
+        (-1e-9, "consistency_tol must be >= 0"),
+        (np.inf, "consistency_tol must be finite, got inf"),
+        (np.nan, "consistency_tol must be finite, got nan"),
+    ], ids=["negative", "inf", "nan"])
+    def test_rejects_bad_consistency_tolerance(self, tol, message):
+        with pytest.raises(ValueError) as err:
+            validate_instance(PositiveMatrix([[1, 2], [3, 4]]), Marginals([1, 1], [5, 5]), tol)
+        assert str(err.value) == message
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             validate_instance(PositiveMatrix([[1, 2], [3, 4]]), Marginals([1, 1, 1], [1, 1]))

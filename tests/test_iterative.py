@@ -113,6 +113,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"tolerance": 0.0},
         {"tolerance": -1e-9},
+        {"tolerance": np.inf},
+        {"tolerance": np.nan},
         {"max_iterations": 0},
     ])
     def test_rejects_bad_values(self, kwargs):

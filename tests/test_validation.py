@@ -10,6 +10,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matbalance import (
@@ -45,9 +46,15 @@ MALFORMED = {
     # Two faults: the checks run in one order on every route.
     "zero entry and short targets": ([[1, 0], [3, 4]], [1, 1], [2], None, NonPositiveInput, f"matrix {POSITIVITY}"),
     "zero target and long targets": (PAIR, [0, 1, 1], [1, 1], None, NonPositiveInput, f"row_targets {POSITIVITY}"),
-    "col gauge index": (PAIR, [1, 1], [1, 1], GaugeFix("unit_col_factor", 5), ShapeMismatch, "col gauge index 5 for 2 cols"),
-    "row gauge index": (PAIR, [1, 1], [1, 1], GaugeFix("unit_row_factor", 2), ShapeMismatch, "row gauge index 2 for 2 rows"),
+    # A gauge is (kind, index), made into a GaugeFix by the route.
+    "col gauge index": (PAIR, [1, 1], [1, 1], ("unit_col_factor", 5), ShapeMismatch, "col gauge index 5 for 2 cols"),
+    "row gauge index": (PAIR, [1, 1], [1, 1], ("unit_row_factor", 2), ShapeMismatch, "row gauge index 2 for 2 rows"),
+    # A float is no index, and True would be read as a boolean mask by numpy.
+    "float gauge index": (PAIR, [1, 1], [1, 1], ("unit_col_factor", 1.5), TypeError, "gauge index must be an integer, got 1.5"),
+    "bool gauge index": (PAIR, [1, 1], [1, 1], ("unit_row_factor", True), TypeError, "gauge index must be an integer, got True"),
 }
+# --gauge is parsed to an int, so the CLI cannot give these.
+LIBRARY_ONLY = {"float gauge index", "bool gauge index"}
 # --gauge is 1-based, so the CLI names the index as the user typed it.
 CLI_MESSAGES = {
     "col gauge index": "col gauge index 6 for 2 cols",
@@ -58,7 +65,7 @@ CLI_MESSAGES = {
 def _float_library(matrix, rows, cols, gauge):
     instance = validate_instance(PositiveMatrix(matrix), Marginals(rows, cols))
     if gauge is not None:
-        extract_factors(instance, sinkhorn_iterate(instance), gauge)
+        extract_factors(instance, sinkhorn_iterate(instance), GaugeFix(*gauge))
 
 
 def _exact_library(matrix, rows, cols, gauge):
@@ -66,7 +73,7 @@ def _exact_library(matrix, rows, cols, gauge):
         entries=tuple(tuple(Fraction(v) for v in row) for row in matrix),
         row_targets=tuple(Fraction(v) for v in rows),
         col_targets=tuple(Fraction(v) for v in cols),
-        gauge=gauge or FITTING,
+        gauge=GaugeFix(*gauge) if gauge else FITTING,
     )
 
 
@@ -80,8 +87,16 @@ def test_library_routes_raise_the_same_error(case, route):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("route", [_float_library, _exact_library], ids=["validate_instance", "RationalInstance"])
+@pytest.mark.parametrize("index", [np.int64(1), np.uint8(1)], ids=["int64", "uint8"])
+def test_numpy_integer_gauge_index_becomes_an_int(index, route):
+    gauge = GaugeFix("unit_col_factor", index)
+    assert type(gauge.index) is int and gauge == GaugeFix("unit_col_factor", 1)
+    route(PAIR, [1, 1], [1, 1], ("unit_col_factor", index))
+
+
 @pytest.mark.parametrize("command", ["scale", "degree-check"])
-@pytest.mark.parametrize("case", list(MALFORMED))
+@pytest.mark.parametrize("case", [case for case in MALFORMED if case not in LIBRARY_ONLY])
 def test_cli_routes_print_the_same_error(capsys, tmp_path, case, command):
     matrix, rows, cols, gauge, _, message = MALFORMED[case]
     path = tmp_path / "instance.json"
@@ -90,8 +105,9 @@ def test_cli_routes_print_the_same_error(capsys, tmp_path, case, command):
     if gauge is not None:
         # scale reads no gauge; factors is scale plus --gauge.
         argv[0] = "factors" if command == "scale" else command
-        side = "r" if gauge.kind == "unit_row_factor" else "c"
-        argv += ["--gauge", f"{side},{gauge.index + 1}"]
+        kind, index = gauge
+        side = "r" if kind == "unit_row_factor" else "c"
+        argv += ["--gauge", f"{side},{index + 1}"]
     code = main(argv)
     captured = capsys.readouterr()
     message = CLI_MESSAGES.get(case, message)
@@ -140,11 +156,16 @@ def _package_imports(module: str) -> set[str]:
     return found
 
 
-def test_core_imports_no_sibling_module():
-    assert _package_imports("core") == set()
+def test_errors_imports_no_sibling_module():
+    assert _package_imports("errors") == set()
 
 
-def test_exactalgebra_does_not_import_iterative():
-    imported = _package_imports("exactalgebra")
-    assert "iterative" not in imported
-    assert "core" in imported
+def test_core_imports_only_errors():
+    assert _package_imports("core") == {"errors"}
+
+
+@pytest.mark.parametrize("module", ["exactalgebra", "_packed"])
+def test_exact_route_imports_no_float_module(module):
+    imported = _package_imports(module)
+    assert "errors" in imported
+    assert not imported & {"core", "iterative", "closedform"}
