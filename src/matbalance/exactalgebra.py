@@ -9,9 +9,12 @@ algebraic degree of that coordinate over the input data.
 
 Numeric parameters are substituted before the basis computation, so the
 ideals live in at most a handful of unknowns; symbolic parameters are out
-of scope.  Everything is exact: the public polynomial types carry exact
-rationals, the reduction inside is fraction-free over the integers, and
-degree results are certificates, not approximations.
+of scope.  Everything is exact.  :class:`MultivariatePolynomial`, with
+exact rational coefficients, is the value type at the engine boundary: it
+has no arithmetic of its own.  All polynomial arithmetic (generator
+reduction, S-polynomials, normal forms, Buchberger) runs fraction-free over
+the integers in :mod:`matbalance._packed`, and degree results are
+certificates, not approximations.
 """
 
 from __future__ import annotations
@@ -62,13 +65,11 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 class MultivariatePolynomial:
     """Polynomial over the rationals in a fixed ordered tuple of unknowns.
 
+    The value type at the engine boundary: it is built, compared, queried
+    and evaluated, and all arithmetic on it runs in :mod:`matbalance._packed`.
     Terms map exponent tuples to nonzero coefficients; zero coefficients
     are never stored, so equal polynomials have equal term maps.
     """
@@ -88,23 +89,11 @@ class MultivariatePolynomial:
                     clean[tuple(mono)] = coeff
         self.terms = clean
 
-    @classmethod
-    def constant(cls, value, variables: Sequence[str]) -> "MultivariatePolynomial":
-        mono = (0,) * len(tuple(variables))
-        return cls(variables, {mono: Fraction(value)})
-
-    @classmethod
-    def variable(cls, name: str, variables: Sequence[str]) -> "MultivariatePolynomial":
-        variables = tuple(variables)
-        idx = variables.index(name)
-        mono = tuple(1 if k == idx else 0 for k in range(len(variables)))
-        return cls(variables, {mono: Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(monomial_degree(m) == 0 for m in self.terms)
+        return not any(any(m) for m in self.terms)
 
     def leading_monomial(self) -> Monomial:
         return max(self.terms)
@@ -113,15 +102,11 @@ class MultivariatePolynomial:
         return self.terms[max(self.terms)]
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(monomial_degree(m) for m in self.terms)
+        return max((sum(m) for m in self.terms), default=0)
 
     def degree_in(self, name: str) -> int:
         idx = self.variables.index(name)
-        if not self.terms:
-            return 0
-        return max(m[idx] for m in self.terms)
+        return max((m[idx] for m in self.terms), default=0)
 
     def uses_only(self, name: str) -> bool:
         """True when every term involves no unknown other than ``name``."""
@@ -130,62 +115,11 @@ class MultivariatePolynomial:
             all(e == 0 for k, e in enumerate(m) if k != idx) for m in self.terms
         )
 
-    def monic(self) -> "MultivariatePolynomial":
-        if not self.terms:
-            return self
-        lead = self.leading_coefficient()
-        if lead == 1:
-            return self
-        out = MultivariatePolynomial(self.variables)
-        out.terms = {m: c / lead for m, c in self.terms.items()}
-        return out
-
-    def _check_compatible(self, other: "MultivariatePolynomial"):
-        if self.variables != other.variables:
-            raise ValueError(f"variable orders differ: {self.variables} vs {other.variables}")
-
-    def _combine(self, other: "MultivariatePolynomial", sign: int) -> "MultivariatePolynomial":
-        """``self + sign * other`` for a sign of +1 or -1."""
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, _ZERO) + sign * c
-            if s:
-                terms[m] = s
-            elif m in terms:
-                del terms[m]
-        out = MultivariatePolynomial(self.variables)
-        out.terms = terms
-        return out
-
-    def __add__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "MultivariatePolynomial":
-        out = MultivariatePolynomial(self.variables)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __mul__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        self._check_compatible(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = terms.get(m, _ZERO) + c1 * c2
-                if s:
-                    terms[m] = s
-                elif m in terms:
-                    del terms[m]
-        out = MultivariatePolynomial(self.variables)
-        out.terms = terms
-        return out
-
     def evaluate(self, assignment: Mapping[str, float]) -> float:
-        """Floating-point value at the assignment; every unknown must be present."""
+        """Floating-point value at the assignment; every unknown must be present.
+
+        A term past the float range reads as an infinity of its sign.
+        """
         values = []
         for name in self.variables:
             if name not in assignment:
@@ -193,11 +127,7 @@ class MultivariatePolynomial:
             values.append(float(assignment[name]))
         total = 0.0
         for mono, coeff in sorted(self.terms.items()):
-            term = float(coeff)
-            for v, e in zip(values, mono):
-                if e:
-                    term *= v**e
-            total += term
+            total += _term_value(coeff, [(v, e) for v, e in zip(values, mono) if e])
         return total
 
     def __eq__(self, other) -> bool:
@@ -231,7 +161,18 @@ class MultivariatePolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-_ZERO = Fraction(0)
+def _term_value(coeff: Fraction, powers: list[tuple[float, int]]) -> float:
+    """``coeff * prod(v**e)`` in floating point, an infinity past the float range."""
+    try:
+        return math.prod((float(coeff), *(v**e for v, e in powers)))
+    except OverflowError:
+        # Take the finite factors exactly; an inf or nan factor then acts as in floats.
+        exact = coeff * math.prod(Fraction(v) ** e for v, e in powers if math.isfinite(v))
+    try:
+        term = float(exact)
+    except OverflowError:
+        term = math.inf if exact > 0 else -math.inf
+    return math.prod((term, *(v**e for v, e in powers if not math.isfinite(v))))
 
 
 @dataclass(frozen=True)
@@ -535,7 +476,8 @@ def verify_solution_on_variety(
         raise ValueError("tol must be > 0")
     polys = list(polynomials.polynomials) if isinstance(polynomials, GroebnerBasis) else list(polynomials)
     residuals = tuple(p.evaluate(assignment) for p in polys)
-    worst = max((abs(v) for v in residuals), default=0.0)
+    # A nan residual fails the report, wherever it falls.
+    worst = math.nan if any(map(math.isnan, residuals)) else max(map(abs, residuals), default=0.0)
     return VarietyReport(
         residuals=residuals,
         max_abs_residual=worst,
@@ -605,51 +547,27 @@ def build_scaling_ideal(
     ``sum_i a_ij r_i c_j - C_j``, with the gauged factor replaced by 1.
     Every generator has total degree at most 2.
     """
-    if variables is None:
-        variables = scaling_variables(instance.rows, instance.cols, instance.gauge)
-    variables = tuple(variables)
-    expected = set(scaling_variables(instance.rows, instance.cols, instance.gauge))
-    if set(variables) != expected:
+    expected = scaling_variables(instance.rows, instance.cols, instance.gauge)
+    variables = expected if variables is None else tuple(variables)
+    if len(variables) != len(expected) or set(variables) != set(expected):
         raise ValueError(f"variables must be a permutation of {sorted(expected)}")
-    index = {name: k for k, name in enumerate(variables)}
-    width = len(variables)
+    one = (0,) * len(variables)
+    # The gauged factor is fixed to 1, so it keeps the monomial 1.
+    unit = {name: one[:k] + (1,) + one[k + 1 :] for k, name in enumerate(variables)}
+    row_monos = [unit.get(f"r{i + 1}", one) for i in range(instance.rows)]
+    col_monos = [unit.get(f"c{j + 1}", one) for j in range(instance.cols)]
 
-    def factor_mono(name: str) -> Monomial | None:
-        # None means the factor is gauge-fixed to 1.
-        if name not in index:
-            return None
-        return tuple(1 if k == index[name] else 0 for k in range(width))
+    def generator(monos: Iterable[Monomial], coeffs: Iterable[Fraction], target: Fraction) -> MultivariatePolynomial:
+        # Only one factor is gauged, so the monomials of a generator are
+        # distinct and none is 1.
+        terms = dict(zip(monos, coeffs))
+        terms[one] = -target
+        return MultivariatePolynomial(variables, terms)
 
-    row_monos = [factor_mono(f"r{i + 1}") for i in range(instance.rows)]
-    col_monos = [factor_mono(f"c{j + 1}") for j in range(instance.cols)]
-    zero_mono = (0,) * width
-
-    def cell_mono(i: int, j: int) -> Monomial:
-        rm, cm = row_monos[i], col_monos[j]
-        if rm is None and cm is None:
-            return zero_mono
-        if rm is None:
-            return cm
-        if cm is None:
-            return rm
-        return monomial_mul(rm, cm)
-
-    polys = []
-    for i in range(instance.rows):
-        terms: dict[Monomial, Fraction] = {}
-        for j in range(instance.cols):
-            mono = cell_mono(i, j)
-            terms[mono] = terms.get(mono, _ZERO) + instance.entries[i][j]
-        terms[zero_mono] = terms.get(zero_mono, _ZERO) - instance.row_targets[i]
-        polys.append(MultivariatePolynomial(variables, terms))
-    for j in range(instance.cols):
-        terms = {}
-        for i in range(instance.rows):
-            mono = cell_mono(i, j)
-            terms[mono] = terms.get(mono, _ZERO) + instance.entries[i][j]
-        terms[zero_mono] = terms.get(zero_mono, _ZERO) - instance.col_targets[j]
-        polys.append(MultivariatePolynomial(variables, terms))
-    return polys
+    cells = [[monomial_mul(rm, cm) for cm in col_monos] for rm in row_monos]
+    rows = [generator(*line) for line in zip(cells, instance.entries, instance.row_targets)]
+    cols = [generator(*line) for line in zip(zip(*cells), zip(*instance.entries), instance.col_targets)]
+    return rows + cols
 
 
 def _random_fraction(rng: random.Random, high: int = 100) -> Fraction:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import threading
@@ -72,21 +73,6 @@ class TestPolynomialArithmetic:
         p = poly(self.VS, {(1, 2): 1, (2, 0): 1, (0, 5): 1})
         assert p.leading_monomial() == (2, 0)
 
-    def test_add_sub_mul(self):
-        x = MultivariatePolynomial.variable("x", self.VS)
-        y = MultivariatePolynomial.variable("y", self.VS)
-        one = MultivariatePolynomial.constant(1, self.VS)
-        left = (x + y) * (x - y)
-        right = x * x - y * y
-        assert left == right
-        assert ((x + one) - x) == one
-
-    def test_monic(self):
-        p = poly(self.VS, {(2, 0): Fraction(3), (0, 0): Fraction(6)})
-        m = p.monic()
-        assert m.leading_coefficient() == 1
-        assert m.terms[(0, 0)] == 2
-
     def test_evaluate(self):
         p = poly(self.VS, {(1, 1): Fraction(3, 2), (0, 0): -1})
         assert p.evaluate({"x": 2.0, "y": 4.0}) == pytest.approx(11.0)
@@ -96,8 +82,12 @@ class TestPolynomialArithmetic:
     def test_variable_order_mismatch_rejected(self):
         p = poly(("x", "y"), {(1, 0): 1})
         q = poly(("y", "x"), {(1, 0): 1})
-        with pytest.raises(ValueError):
-            p + q
+        with pytest.raises(ValueError, match="variable order"):
+            buchberger([p, q])
+        with pytest.raises(ValueError, match="variable order"):
+            normal_form(p, [q])
+        with pytest.raises(ValueError, match="variable order"):
+            s_polynomial(p, q)
 
 
 class TestBuildScalingIdeal:
@@ -122,6 +112,29 @@ class TestBuildScalingIdeal:
             poly(vs, {(1, 0, 0): 2, (0, 1, 0): 4, (0, 0, 0): -1}),
         ]
         assert gens == expected
+
+    def test_2x2_gauge_r1_matches_hand_expansion(self):
+        inst = RationalInstance(
+            entries=((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))),
+            row_targets=(Fraction(2), Fraction(3)),
+            col_targets=(Fraction(4), Fraction(1)),
+            gauge=GaugeFix("unit_row_factor", 0),
+        )
+        gens = build_scaling_ideal(inst)
+        vs = ("r2", "c1", "c2")
+        expected = [
+            # a11 c1 + a12 c2 - R1
+            poly(vs, {(0, 1, 0): 1, (0, 0, 1): 2, (0, 0, 0): -2}),
+            # r2 a21 c1 + r2 a22 c2 - R2
+            poly(vs, {(1, 1, 0): 3, (1, 0, 1): 4, (0, 0, 0): -3}),
+            # a11 c1 + r2 a21 c1 - C1
+            poly(vs, {(0, 1, 0): 1, (1, 1, 0): 3, (0, 0, 0): -4}),
+            # a12 c2 + r2 a22 c2 - C2
+            poly(vs, {(0, 0, 1): 2, (1, 0, 1): 4, (0, 0, 0): -1}),
+        ]
+        assert gens == expected
+        # The same terms in the same order: the order fixes the trace key.
+        assert [list(g.terms) for g in gens] == [list(g.terms) for g in expected]
 
     def test_1x2_gauge_r1_is_linear(self):
         inst = RationalInstance(
@@ -152,8 +165,11 @@ class TestBuildScalingIdeal:
         order = ("c1", "r2", "r1")
         gens = build_scaling_ideal(inst, variables=order)
         assert all(g.variables == order for g in gens)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="permutation"):
             build_scaling_ideal(inst, variables=("c1", "r2", "bogus"))
+        # A repeated name is no permutation, however the set compares.
+        with pytest.raises(ValueError, match="permutation"):
+            build_scaling_ideal(inst, variables=("r1", "r2", "c1", "c1"))
 
 
 class TestBuchberger:
@@ -516,7 +532,7 @@ class TestNormalForm:
         vs = ("x",)
         basis = buchberger([poly(vs, {(0,): 5})])
         assert basis.is_unit
-        assert normal_form(MultivariatePolynomial.constant(1, vs), basis).is_zero()
+        assert normal_form(poly(vs, {(0,): 1}), basis).is_zero()
 
     def test_every_generator_reduces_to_zero(self):
         inst = random_rational_instance(2, 2, random.Random(43))
@@ -604,8 +620,6 @@ class TestEliminationDegree:
             elimination_degree(basis, basis.variables[0])
 
     def test_degree_never_exceeds_bound_and_generic_data_hits_it(self):
-        import math
-
         rng = random.Random(61)
         hits = 0
         total = 40
@@ -618,6 +632,50 @@ class TestEliminationDegree:
             assert degree <= bound
             hits += degree == bound
         assert hits / total >= 0.95
+
+
+def _rational(rng):
+    return Fraction(rng.randint(1, 50), rng.randint(1, 50))
+
+
+class TestExactRouteInvariances:
+    """The certified degree is unchanged by the exact symmetries of the limit."""
+
+    @staticmethod
+    def _degree(entries, row_targets, col_targets, gauge):
+        basis = buchberger(build_scaling_ideal(RationalInstance(entries, row_targets, col_targets, gauge)))
+        return elimination_degree(basis, basis.variables[-1])
+
+    @pytest.mark.parametrize("rows,cols", [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+    def test_degree_invariances(self, rows, cols):
+        for seed in range(6):
+            rng = random.Random(f"invariance/{rows}x{cols}/{seed}")
+            gauge = rng.choice(
+                [GaugeFix("unit_row_factor", i) for i in range(rows)]
+                + [GaugeFix("unit_col_factor", j) for j in range(cols)]
+            )
+            base = random_rational_instance(rows, cols, rng, gauge)
+            a, rt, ct = base.entries, base.row_targets, base.col_targets
+            degree = self._degree(a, rt, ct, gauge)
+            assert 1 <= degree <= math.comb(rows + cols - 2, rows - 1)
+
+            # Rational diagonal equivalence D1 A D2 rescales the unknowns.
+            d1 = [_rational(rng) for _ in range(rows)]
+            d2 = [_rational(rng) for _ in range(cols)]
+            scaled = tuple(tuple(d1[i] * a[i][j] * d2[j] for j in range(cols)) for i in range(rows))
+            assert self._degree(scaled, rt, ct, gauge) == degree
+
+            # Row and column permutations; the gauged factor moves with its line.
+            pr, pc = rng.sample(range(rows), rows), rng.sample(range(cols), cols)
+            permuted = tuple(tuple(a[i][j] for j in pc) for i in pr)
+            moved = GaugeFix(gauge.kind, (pr if gauge.kind == "unit_row_factor" else pc).index(gauge.index))
+            assert self._degree(permuted, [rt[i] for i in pr], [ct[j] for j in pc], moved) == degree
+
+            # Transposition swaps the targets and the gauge kind.
+            swapped = GaugeFix(
+                "unit_col_factor" if gauge.kind == "unit_row_factor" else "unit_row_factor", gauge.index
+            )
+            assert self._degree(tuple(zip(*a)), ct, rt, swapped) == degree
 
 
 class TestVerifyOnVariety:
@@ -680,6 +738,29 @@ class TestVerifyOnVariety:
         gens = build_scaling_ideal(random_rational_instance(2, 2, random.Random(67)))
         with pytest.raises(MissingAssignment):
             verify_solution_on_variety(gens, {"r1": 1.0}, tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "terms,x,value",
+        [
+            ({(2,): 1, (0,): -1}, 1e200, math.inf),  # x^2 overflows
+            ({(3,): -1}, 1e200, -math.inf),
+            # The coefficient alone overflows a float; the term is 3.3e99.
+            ({(1,): Fraction(10**400, 3), (0,): -1}, 1e-300, 10**100 / 3),
+        ],
+    )
+    def test_values_past_the_float_range(self, terms, x, value):
+        report = verify_solution_on_variety([poly(("x",), terms)], {"x": x}, tol=1e-6)
+        assert report.residuals[0] == pytest.approx(value, rel=1e-15)
+        assert not report.passed
+
+    def test_nan_residual_fails_wherever_it_falls(self):
+        # x^2 - x at x = inf is nan; a finite residual before it must not pass the report.
+        vs = ("x", "y")
+        polys = [poly(vs, {(0, 1): 1}), poly(vs, {(2, 0): 1, (1, 0): -1})]
+        for ordered in (polys, polys[::-1]):
+            report = verify_solution_on_variety(ordered, {"x": math.inf, "y": 1.0}, tol=2.0)
+            assert math.isnan(report.max_abs_residual)
+            assert not report.passed
 
 
 class TestRationalInstances:
