@@ -7,7 +7,8 @@ Commands, and the flags each one reads:
     factors       as scale, and print the gauge-normalized scaling factors.
                   Flags: those of scale plus --gauge.
     compare       run both the iterative and closed-form routes and report
-                  the entrywise gap between them.  Flags: --rows/--cols,
+                  the entrywise gap between them, relative to the closed
+                  form's entries.  Flags: --rows/--cols,
                   --tol, --max-iters, --format.
     degree-check  certify the algebraic-degree table on seeded random
                   exact-rational instances (--seed, --count), or on one
@@ -343,7 +344,7 @@ def _run_compare(args: argparse.Namespace) -> tuple[dict, int]:
         closed = closed_form_dispatch(instance)
     except UnsupportedShape:
         return doc, EXIT_OK
-    gap = float(np.max(np.abs(closed.matrix - iterative_result.matrix)))
+    gap = float(np.max(np.abs(closed.matrix - iterative_result.matrix) / closed.matrix))
     doc["closed_form"] = _result_document("compare", config, instance, closed)
     doc["max_entrywise_gap"] = gap
     doc["ok"] = gap <= COMPARE_GAP_TOL

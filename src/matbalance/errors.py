@@ -3,7 +3,8 @@
 Each validation decision of both input routes, float and exact, has its one
 home here, so the two raise the same typed errors in the same words: shape
 (:func:`check_grid`, :func:`check_target_lengths`, :func:`empty_error`),
-positivity (:func:`nonpositive_error`) and the gauge (:class:`GaugeFix`,
+positivity (:func:`nonpositive_error`), integer counts
+(:func:`check_integer`) and the gauge (:class:`GaugeFix`,
 :func:`default_gauge`).  Every error that the command line maps to an exit
 code is defined here too.
 
@@ -88,6 +89,16 @@ def nonpositive_error(name: str) -> NonPositiveInput:
     return NonPositiveInput(f"{name} contains entries <= 0; all values must be strictly positive")
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as a plain int: a numpy integer is accepted, a bool or a float raises TypeError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GaugeFix:
     """Pin one scaling factor to 1: row factor ``index`` or column factor ``index``.
@@ -102,12 +113,7 @@ class GaugeFix:
     def __post_init__(self):
         if self.kind not in GAUGE_KINDS:
             raise ValueError(f"gauge kind must be one of {GAUGE_KINDS}")
-        try:
-            if isinstance(self.index, bool):
-                raise TypeError
-            index = operator.index(self.index)
-        except TypeError:
-            raise TypeError(f"gauge index must be an integer, got {self.index!r}") from None
+        index = check_integer(self.index, "gauge index")
         if index < 0:
             raise ValueError("gauge index must be >= 0")
         object.__setattr__(self, "index", index)

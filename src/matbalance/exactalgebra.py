@@ -118,13 +118,13 @@ class MultivariatePolynomial:
     def evaluate(self, assignment: Mapping[str, float]) -> float:
         """Floating-point value at the assignment; every unknown must be present.
 
-        A term past the float range reads as an infinity of its sign.
+        A value or a term past the float range reads as an infinity of its sign.
         """
         values = []
         for name in self.variables:
             if name not in assignment:
                 raise MissingAssignment(name)
-            values.append(float(assignment[name]))
+            values.append(_float_value(assignment[name]))
         total = 0.0
         for mono, coeff in sorted(self.terms.items()):
             total += _term_value(coeff, [(v, e) for v, e in zip(values, mono) if e])
@@ -161,6 +161,14 @@ class MultivariatePolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _float_value(value) -> float:
+    """``float(value)``, an infinity of its sign past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _term_value(coeff: Fraction, powers: list[tuple[float, int]]) -> float:
     """``coeff * prod(v**e)`` in floating point, an infinity past the float range."""
     try:
@@ -168,11 +176,7 @@ def _term_value(coeff: Fraction, powers: list[tuple[float, int]]) -> float:
     except OverflowError:
         # Take the finite factors exactly; an inf or nan factor then acts as in floats.
         exact = coeff * math.prod(Fraction(v) ** e for v, e in powers if math.isfinite(v))
-    try:
-        term = float(exact)
-    except OverflowError:
-        term = math.inf if exact > 0 else -math.inf
-    return math.prod((term, *(v**e for v, e in powers if not math.isfinite(v))))
+    return math.prod((_float_value(exact), *(v**e for v, e in powers if not math.isfinite(v))))
 
 
 @dataclass(frozen=True)

@@ -537,6 +537,19 @@ class TestCompareCommand:
         assert doc["max_entrywise_gap"] <= 1e-6
         assert doc["closed_form"]["method"] == "closed_form_2x2"
 
+    @pytest.mark.parametrize("target", ["1e-6", "1", "1e6", "1e12"])
+    def test_gap_is_relative_at_every_target_scale(self, capsys, tmp_path, target):
+        # At targets of 1e12 the entries are near 5e11, where an absolute gap
+        # of 1e-6 would be a relative one of 2e-18.
+        path = tmp_path / "matrix.csv"
+        path.write_text("1,2\n3,4\n")
+        targets = f"{target},{target}"
+        code, out, _ = run_main(capsys, ["compare", str(path), "--rows", targets, "--cols", targets])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert doc["max_entrywise_gap"] <= 1e-6
+
     def test_unsupported_shape_reports_iterative_only(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(

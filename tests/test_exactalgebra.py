@@ -746,6 +746,10 @@ class TestVerifyOnVariety:
             ({(3,): -1}, 1e200, -math.inf),
             # The coefficient alone overflows a float; the term is 3.3e99.
             ({(1,): Fraction(10**400, 3), (0,): -1}, 1e-300, 10**100 / 3),
+            # The assigned value alone overflows a float.
+            pytest.param({(1,): 1, (0,): -1}, 10**400, math.inf, id="int 1e400"),
+            pytest.param({(1,): 1, (0,): -1}, Fraction(10**400, 3), math.inf, id="Fraction 1e400/3"),
+            pytest.param({(1,): 1, (0,): -1}, -(10**400), -math.inf, id="int -1e400"),
         ],
     )
     def test_values_past_the_float_range(self, terms, x, value):
