@@ -244,6 +244,53 @@ class TestTargetScaleInvariance:
             return
         np.testing.assert_allclose(moved.matrix / 1e-315, expected.matrix, rtol=1e-9, atol=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-250, 1e-100, 1e-12, 1e-6, 1e6, 1e12, 1e100, 1e250])
+    def test_lands_as_near_the_limit_at_every_target_scale(self, scale):
+        base = random_instance(np.random.default_rng(17), 4, 5)
+        limit = sinkhorn_iterate(base, IterationConfig(tolerance=1e-14)).matrix
+        at_scale_one = sinkhorn_iterate(base)
+        moved = sinkhorn_iterate(scaled_targets(base, scale))
+        assert moved.iterations == at_scale_one.iterations
+        gap = np.max(np.abs(moved.matrix / scale - limit) / limit)
+        assert gap < 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("matrix_exponent, target_exponent", [
+        (0, 900), (0, -900), (900, 0), (-900, 0), (600, 600), (-600, -600), (450, -450), (-450, 450),
+    ])
+    @pytest.mark.parametrize("case", ["grid 12x15", "ill-conditioned 19x24"])
+    def test_power_of_two_scales_commute_bit_for_bit(self, case, matrix_exponent, target_exponent):
+        # Scaling A by 2**m and the targets by 2**t scales every rounded
+        # quantity of a sweep by an exact power of two, the stop test included.
+        base = stacked_loop_instance(case, 0)
+        matrix_scale, target_scale = 2.0**matrix_exponent, 2.0**target_exponent
+        moved = validate_instance(
+            PositiveMatrix(base.matrix.entries * matrix_scale),
+            Marginals(base.marginals.row_targets * target_scale, base.marginals.col_targets * target_scale),
+        )
+        expected, result = sinkhorn_iterate(base), sinkhorn_iterate(moved)
+        assert result.iterations == expected.iterations
+        np.testing.assert_array_equal(result.matrix, expected.matrix * target_scale)
+        np.testing.assert_array_equal(
+            result.factors.row_factors, expected.factors.row_factors * (target_scale / matrix_scale)
+        )
+        np.testing.assert_array_equal(result.factors.col_factors, expected.factors.col_factors)
+        assert result.max_marginal_residual == expected.max_marginal_residual * target_scale
+
+
+class TestToleranceBelowRounding:
+    @pytest.mark.parametrize("case", ["grid 3x5", "grid 12x15", "grid 30x30"])
+    def test_ends_in_not_converged(self, case):
+        # (rows + cols) * eps is at least 1.8e-15 here; no residual stays
+        # within 1e-20 of its target.
+        instance = stacked_loop_instance(case, 0)
+        with pytest.raises(NotConverged) as err:
+            sinkhorn_iterate(instance, IterationConfig(tolerance=1e-20, max_iterations=200))
+        result = err.value.result
+        assert result.iterations == 200
+        assert 0 < result.max_marginal_residual < 1e-12
+
 
 def separate_halves_loop(instance, config):
     """``sinkhorn_iterate`` as written before its stacked buffers: fresh row and column arrays per sweep.
