@@ -1,17 +1,14 @@
 """Exact balancing formulas for the shapes that admit them.
 
 Covered shapes: single-row matrices (the limit is just the column targets),
-single-column matrices (by transposition), and 2x2 matrices, where each
-limit entry is a root of a quadratic in the input data.  The 2x2 entries
-are evaluated from their explicit forms rather than by back-substituting
-the scaling factors, which sidesteps a removable singularity in the factor
-equations.
-
-Near a singular 2x2 matrix the quadratic's determinant denominator
-vanishes; entries then switch to algebraically equivalent rationalized
-forms with no determinant division, and the discriminant to a
-cancellation-free expansion, keeping the formula accurate through the
-seam to the dedicated singular formula.
+single-column matrices (by transposition), and 2x2 matrices.  Since
+``S(D1 A D2) = S(A)``, a 2x2 matrix enters its limit only through the
+cross-ratio ``kappa = (a11/a12)(a22/a21)``, and each limit entry is the
+positive root of its own quadratic in ``kappa`` and the targets, evaluated
+where nothing overflows or cancels.  The singular limit ``R_i C_j / sum(R)``
+is the case ``kappa = 1``.  :func:`quadratic_data`, :func:`r2_roots` and
+:func:`solve_r2` keep the paper's quadratic for the second row factor, which
+the acceptance gate checks; the dispatch path does not use them.
 """
 
 from __future__ import annotations
@@ -31,11 +28,9 @@ from .core import (
     max_abs_residual,
 )
 
-# |det| <= threshold * alpha routes to the singular formula: where floating
-# point no longer tells the two limits apart, not a property of the limit.
+# |kappa - 1| <= threshold * kappa routes to the singular formula: where
+# floating point no longer tells the two limits apart, not a property of the limit.
 SINGULARITY_THRESHOLD = 1e-12
-# |det| < ratio * alpha switches the nonsingular formula to compensated forms.
-COMPENSATED_DET_RATIO = 1e-6
 
 
 class WrongShape(MatrixBalanceError, ValueError):
@@ -47,7 +42,7 @@ class UnsupportedShape(MatrixBalanceError, ValueError):
 
 
 class NearSingular(MatrixBalanceError):
-    """Determinant too close to zero for the nonsingular formula."""
+    """The 2x2 matrix is too close to singular for the nonsingular formula."""
 
 
 class NegativeDiscriminant(MatrixBalanceError):
@@ -91,23 +86,12 @@ def _result(matrix: np.ndarray, factors: ScalingPair | None, marginals: Marginal
     return ScaledResult(matrix, factors, 0, max_abs_residual(matrix, marginals), True, method)
 
 
-def _discriminant(alpha: float, beta: float, det: float, r2t: float, c1t: float, c2t: float) -> float:
-    if abs(det) < COMPENSATED_DET_RATIO * alpha:
-        # Cancellation-free expansion: every term is nonnegative for
-        # consistent positive data (c1t + c2t - r2t is the first row target).
-        # Products, not **: a float square past the range raises OverflowError.
-        left, right = c2t - r2t, c1t - r2t
-        return (
-            alpha * alpha * (left * left)
-            + 2.0 * alpha * beta * (c1t * c2t + r2t * (c1t + c2t - r2t))
-            + beta * beta * (right * right)
-        )
-    total = alpha * (c2t + r2t) + beta * (c1t - r2t)
-    return total * total - 4.0 * alpha * c2t * r2t * det
-
-
 def quadratic_data(instance: ValidatedInstance) -> QuadraticData:
-    """Products, determinant, and discriminant feeding the 2x2 formulas."""
+    """Products, determinant, and discriminant of the paper's quadratic for r2.
+
+    It serves the acceptance gate, through :func:`r2_roots` and
+    :func:`solve_r2`; the limit itself is evaluated from the cross-ratio.
+    """
     _require_shape(instance, 2, 2, "quadratic_data")
     a = instance.matrix.entries
     alpha = float(a[0, 0] * a[1, 1])
@@ -115,7 +99,15 @@ def quadratic_data(instance: ValidatedInstance) -> QuadraticData:
     det = alpha - beta
     r2t = float(instance.marginals.row_targets[1])
     c1t, c2t = (float(v) for v in instance.marginals.col_targets)
-    delta = _discriminant(alpha, beta, det, r2t, c1t, c2t)
+    # Cancellation-free expansion: every term is nonnegative for consistent
+    # positive data (c1t + c2t - r2t is the first row target).  Products,
+    # not **: a float square past the range raises OverflowError.
+    left, right = c2t - r2t, c1t - r2t
+    delta = (
+        alpha * alpha * (left * left)
+        + 2.0 * alpha * beta * (c1t * c2t + r2t * (c1t + c2t - r2t))
+        + beta * beta * (right * right)
+    )
     if delta < 0:
         raise NegativeDiscriminant(
             f"discriminant {delta!r} < 0 for alpha={alpha!r}, beta={beta!r}, det={det!r}"
@@ -172,94 +164,83 @@ def closed_form_nx1(instance: ValidatedInstance) -> ScaledResult:
     return _result(matrix, factors, instance.marginals, "transposed_delegate")
 
 
-def _entries_2x2(instance: ValidatedInstance, data: QuadraticData) -> tuple[float, float, float, float]:
-    r1t, r2t = instance.marginals.row_targets
-    c1t, c2t = instance.marginals.col_targets
-    alpha, beta = data.alpha, data.beta
-    root = math.sqrt(data.delta)
-    n11 = alpha * (r2t - 2.0 * c1t - c2t) + beta * (c1t - r2t)
-    n12 = alpha * (r2t - c2t) + beta * (c1t + 2.0 * c2t - r2t)
-    n21 = alpha * (c2t - r2t) + beta * (c1t + r2t)
-    total = alpha * (c2t + r2t) + beta * (c1t - r2t)
-    if abs(data.det) < COMPENSATED_DET_RATIO * alpha:
-        # Rationalized forms: numerator and denominator of each direct form
-        # both vanish linearly in det, which cancels exactly.
-        s11 = 2.0 * alpha * c1t * r1t / (root - n11)
-        s12 = 2.0 * beta * c2t * r1t / (n12 + root)
-        s21 = 2.0 * beta * c1t * r2t / (n21 + root)
-        s22 = 2.0 * alpha * c2t * r2t / (total + root)
-    else:
-        denom = -2.0 * data.det
-        s11 = (n11 + root) / denom
-        s12 = (n12 - root) / denom
-        s21 = (n21 - root) / denom
-        s22 = (-total + root) / denom
-    return s11, s12, s21, s22
+def _positive_root(e: float, b: float, c: float, root: float) -> float:
+    """The positive root of ``e y^2 + b y - c``, with ``root`` the square root of its discriminant."""
+    return 2.0 * c / (b + root) if b >= 0 else (root - b) / (2.0 * e)
+
+
+def _entries_2x2(kappa: float, marginals: Marginals) -> list[float]:
+    """The 2x2 limit entries ``[s11, s12, s21, s22]`` for cross-ratio ``kappa``.
+
+    The targets are divided by a power of two, and the columns are swapped
+    when ``kappa > 1``, so the frame's cross-ratio ``k`` is at most 1.  Then
+    every term of the one discriminant
+    ``(C1 - R2)^2 + 2 k (C1 C2 + R1 R2) + k^2 (C2 - R2)^2`` is nonnegative,
+    and each root is taken in the form that adds two nonnegative numbers.
+    Raises :class:`NonPositiveRoot` when an entry is not positive or when
+    the entries lost the cross-ratio to rounding.
+    """
+    (r1, r2), (c1, c2) = marginals.row_targets.tolist(), marginals.col_targets.tolist()
+    # Swapping the columns turns kappa into 1 / kappa, so k <= 1 below.
+    swap = kappa > 1.0
+    k, c1, c2 = (1.0 / kappa, c2, c1) if swap else (kappa, c1, c2)
+    # A power of two keeps the bits: the largest target lands in [1, 2).
+    scale = math.ldexp(1.0, math.frexp(max(r1, r2, c1, c2))[1] - 1)
+    r1, r2, c1, c2 = r1 / scale, r2 / scale, c1 / scale, c2 / scale
+    # Validated totals may differ by DEFAULT_CONSISTENCY_TOL; the four roots
+    # describe one matrix only for targets that agree, so rows take the column total.
+    rho = (c1 + c2) / (r1 + r2)
+    r1, r2 = r1 * rho, r2 * rho
+    root = math.sqrt((c1 - r2) * (c1 - r2) + 2.0 * k * (c1 * c2 + r1 * r2) + k * k * ((c2 - r2) * (c2 - r2)))
+    s11 = _positive_root(1.0 - k, r2 - c1 + k * (r1 + c1), k * r1 * c1, root)
+    s12 = _positive_root(k - 1.0, r1 + c2 + k * (r2 - c2), r1 * c2, root)
+    s21 = _positive_root(k - 1.0, c1 + r2 + k * (c2 - r2), c1 * r2, root)
+    s22 = _positive_root(1.0 - k, r1 - c2 + k * (r2 + c2), k * r2 * c2, root)
+    entries = [s * scale for s in ([s12, s11, s22, s21] if swap else [s11, s12, s21, s22])]
+    if not (all(0.0 < s < math.inf for s in entries) and abs((s11 / s12) * (s22 / s21) - k) <= 1e-12 * k):
+        raise NonPositiveRoot(
+            f"formula produced entries {entries!r} off the cross-ratio {kappa!r}", math.nan, math.nan
+        )
+    return entries
 
 
 def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
-    """Nonsingular 2x2 limit from the explicit quadratic-root entries.
+    """Nonsingular 2x2 limit from the cross-ratio, with factors in the c2 = 1 gauge.
 
-    All four entries must come out strictly positive; a nonpositive entry
-    means the branch analysis failed for this input and is surfaced as
-    :class:`NonPositiveRoot` instead of silently switching branches.
+    All four entries must come out strictly positive and keep the
+    cross-ratio; otherwise :class:`NonPositiveRoot` is raised instead of a
+    wrong answer.  :func:`closed_form_dispatch` takes a :class:`NearSingular`
+    from here as its one singularity decision.
     """
-    data = quadratic_data(instance)
-    if abs(data.det) <= SINGULARITY_THRESHOLD * data.alpha:
+    _require_shape(instance, 2, 2, "closed_form_2x2")
+    (a11, a12), (a21, a22) = instance.matrix.entries.tolist()
+    # Ratios before the product: entries of any scale meet only as numbers of the limit's size.
+    kappa = (a11 / a12) * (a22 / a21)
+    if not 0.0 < kappa < math.inf:
+        raise NonPositiveRoot(f"cross-ratio {kappa!r} is outside (0, inf)", math.nan, math.nan)
+    if abs(kappa - 1.0) <= SINGULARITY_THRESHOLD * kappa:
         raise NearSingular(
-            f"|det| = {abs(data.det)!r} <= {SINGULARITY_THRESHOLD!r} * alpha; "
-            "use the singular formula"
+            f"|kappa - 1| <= {SINGULARITY_THRESHOLD!r} * kappa for kappa = {kappa!r}; use the singular formula"
         )
-    return _nonsingular_2x2(instance, data)
-
-
-def _nonsingular_2x2(instance: ValidatedInstance, data: QuadraticData) -> ScaledResult:
-    """The body of :func:`closed_form_2x2` once ``data`` has passed the singularity test."""
-    a = instance.matrix.entries
-    # Overflow or NaN leaves an entry or a factor nonpositive or infinite,
-    # raised below as a typed error, so numpy's warnings would only repeat it.
-    with np.errstate(all="ignore"):
-        s11, s12, s21, s22 = entries = _entries_2x2(instance, data)
-        # Factors in the c2 = 1 gauge, read off the entries: s22 = a22 r2,
-        # s12 = a12 r1, s21 = a21 r2 c1.
-        row_factors = np.array([s12 / a[0, 1], s22 / a[1, 1]])
-        col_factors = np.array([s21 * a[1, 1] / (a[1, 0] * s22), 1.0])
-    if not (s11 > 0 and s12 > 0 and s21 > 0 and s22 > 0):
-        minus, plus = r2_roots(data, instance.marginals)
-        raise NonPositiveRoot(
-            f"formula produced nonpositive entries {[float(s) for s in entries]!r} "
-            f"(row-factor branches {minus!r} / {plus!r})",
-            minus_root=minus,
-            plus_root=plus,
-        )
-    matrix = np.array([[s11, s12], [s21, s22]])
-    factors = ScalingPair(row_factors, col_factors)
-    return _result(matrix, factors, instance.marginals, "closed_form_2x2")
+    s11, s12, s21, s22 = _entries_2x2(kappa, instance.marginals)
+    # Factors in the c2 = 1 gauge: s12 = a12 r1, s22 = a22 r2, s21 = a21 r2 c1.
+    factors = ScalingPair(np.array([s12 / a12, s22 / a22]), np.array([(s21 / s22) * (a22 / a21), 1.0]))
+    return _result(np.array([[s11, s12], [s21, s22]]), factors, instance.marginals, "closed_form_2x2")
 
 
 def closed_form_2x2_singular(marginals: Marginals) -> ScaledResult:
     """Singular 2x2 limit; depends on the targets only, not the matrix.
 
-    This is the maximum entropy solution ``s_ij = R_i C_j / total``: a
-    singular matrix carries only proportion information, so the limit is
-    shaped entirely by the external constraints.  The targets must agree
-    within ``DEFAULT_CONSISTENCY_TOL``.
+    This is the maximum entropy solution ``s_ij = R_i C_j / total``, the
+    cross-ratio evaluation at ``kappa = 1``: a singular matrix carries only
+    proportion information, so the limit is shaped entirely by the external
+    constraints.  The targets must agree within ``DEFAULT_CONSISTENCY_TOL``.
     """
     if marginals.row_targets.size != 2 or marginals.col_targets.size != 2:
         raise WrongShape("singular closed form requires 2 row and 2 col targets")
     marginals.check_consistent(DEFAULT_CONSISTENCY_TOL)
-    return _singular_2x2(marginals)
-
-
-def _singular_2x2(marginals: Marginals) -> ScaledResult:
-    """The body of :func:`closed_form_2x2_singular` for targets already checked."""
-    r2t = marginals.row_targets[1]
-    c1t, c2t = marginals.col_targets
-    ctotal = c1t + c2t
-    s21 = c1t * r2t / ctotal
-    s22 = c2t * r2t / ctotal
-    matrix = np.array([[c1t - s21, c2t - s22], [s21, s22]])
-    return _result(matrix, None, marginals, "closed_form_2x2_singular")
+    s11, s12, s21, s22 = _entries_2x2(1.0, marginals)
+    return _result(np.array([[s11, s12], [s21, s22]]), None, marginals, "closed_form_2x2_singular")
 
 
 def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:
@@ -273,11 +254,10 @@ def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:
     if instance.cols == 1:
         return closed_form_nx1(instance)
     if instance.rows == 2 and instance.cols == 2:
-        data = quadratic_data(instance)
-        if abs(data.det) <= SINGULARITY_THRESHOLD * data.alpha:
-            # validate_instance has checked the targets' consistency.
-            return _singular_2x2(instance.marginals)
-        return _nonsingular_2x2(instance, data)
+        try:
+            return closed_form_2x2(instance)
+        except NearSingular:
+            return closed_form_2x2_singular(instance.marginals)
     raise UnsupportedShape(
         f"no closed form for shape {instance.rows}x{instance.cols}; use the iterative solver"
     )

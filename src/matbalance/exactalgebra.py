@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 import random
 import threading
 from dataclasses import dataclass
@@ -118,13 +119,20 @@ class MultivariatePolynomial:
     def evaluate(self, assignment: Mapping[str, float]) -> float:
         """Floating-point value at the assignment; every unknown must be present.
 
-        A value or a term past the float range reads as an infinity of its sign.
+        Float values are summed in floating point, where a value or a term past
+        the float range reads as an infinity of its sign.  When a value is exact
+        (``int``, ``Fraction``) and all are finite, the sum is exact, rounded once.
         """
         values = []
         for name in self.variables:
             if name not in assignment:
                 raise MissingAssignment(name)
-            values.append(_float_value(assignment[name]))
+            values.append(assignment[name])
+        if any(isinstance(v, numbers.Rational) for v in values) and not any(map(_is_nonfinite_float, values)):
+            exact = [Fraction(v if isinstance(v, numbers.Rational) else float(v)) for v in values]
+            terms = (coeff * math.prod(x**e for x, e in zip(exact, mono) if e) for mono, coeff in self.terms.items())
+            return _float_value(sum(terms))
+        values = [_float_value(v) for v in values]
         total = 0.0
         for mono, coeff in sorted(self.terms.items()):
             total += _term_value(coeff, [(v, e) for v, e in zip(values, mono) if e])
@@ -159,6 +167,10 @@ class MultivariatePolynomial:
             else:
                 parts.append(f"{coeff}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _is_nonfinite_float(value) -> bool:
+    return not isinstance(value, numbers.Rational) and not math.isfinite(value)
 
 
 def _float_value(value) -> float:

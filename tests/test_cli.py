@@ -434,20 +434,34 @@ class TestScaleCommand:
         assert code == EXIT_NOT_CONVERGED
         assert "convergence" in err or "iterations" in err
 
-    def test_underflowing_closed_form_exits_defect_without_traceback(self, capsys, tmp_path):
+    def test_tiny_matrix_closed_form_gives_the_limit(self, capsys, tmp_path):
+        # At scale 1e-150, a11*a22 underflows to 0; the cross-ratio does not.
         path = tmp_path / "tiny.json"
         tiny = (1e-150 * np.array([[1.0, 2.0], [3.0, 4.0]])).tolist()
         path.write_text(json.dumps({"matrix": tiny, "row_sums": [1, 1], "col_sums": [1, 1]}))
         code, out, err = run_main(capsys, ["scale", str(path)])
-        assert code == EXIT_DEFECT
-        assert out == ""
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["method"] == "closed_form_2x2"
+        np.testing.assert_allclose(doc["matrix"], nathanson_limit([[1, 2], [3, 4]]), rtol=1e-15, atol=0)
 
-    def test_overflowing_discriminant_exits_defect_without_traceback(self, capsys, tmp_path):
+    def test_near_singular_at_targets_1e200_gives_the_limit(self, capsys, tmp_path):
+        # The gate's discriminant overflows here; the closed form agrees with the iteration.
         path = tmp_path / "near_singular.csv"
         path.write_text("1,2\n3,6.0000001\n")
-        code, out, err = run_main(capsys, ["scale", str(path), "--rows", "1e200,1e180", "--cols", "5e199,5e199"])
+        argv = ["scale", str(path), "--rows", "1e200,1e180", "--cols", "5e199,5e199"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        closed = json.loads(out)
+        assert closed["method"] == "closed_form_2x2"
+        code, out, _ = run_main(capsys, argv + ["--method", "iterative", "--tol", "1e-12"])
+        assert code == EXIT_OK
+        np.testing.assert_allclose(closed["matrix"], json.loads(out)["matrix"], rtol=1e-10, atol=0)
+
+    def test_unrepresentable_cross_ratio_exits_defect_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "kappa_inf.json"
+        path.write_text(json.dumps({"matrix": [[1e300, 1e-300], [1e-300, 1e300]], "row_sums": [1, 1], "col_sums": [1, 1]}))
+        code, out, err = run_main(capsys, ["scale", str(path)])
         assert (code, out) == (EXIT_DEFECT, "")
         assert err.startswith("error:") and err.count("\n") == 1
 

@@ -1,4 +1,6 @@
+import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from matbalance import (
     InconsistentMarginals,
     Marginals,
+    MatrixBalanceError,
     NearSingular,
     NonPositiveRoot,
     PositiveMatrix,
@@ -41,6 +44,45 @@ def make_instance(entries, row_targets, col_targets):
 
 
 NATHANSON_INSTANCE = ([[1, 2], [3, 4]], [1, 1], [1, 1])
+# kappa ~ 9.5e86 with targets 1e158 apart: the closed form loses the
+# cross-ratio of the smallest entry to rounding.
+CROSS_RATIO_LOST = (
+    [[3.656738580577423e47, 6.007777028048442e-142], [1.813517776426316e-16, 2.815975604125253e-118]],
+    [7.341633690908898e92, 4.046282994774649e-66],
+)
+SMALLEST_NORMAL = Decimal(2) ** -1022
+SUBNORMAL_SPACING = Decimal(2) ** -1074
+
+
+def decimal_limit(entries, row_targets, col_targets):
+    """The 2x2 limit ``[s11, s12, s21, s22]`` at 1,500 digits, from the exact float data.
+
+    Rows are rescaled to the column total, as validation lets the totals
+    differ.  ``s21`` is the small root of its quadratic where kappa <= 1
+    (swapping the columns otherwise); the rest follow from the targets.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 1500
+        (a11, a12), (a21, a22) = ([Decimal(float(v)) for v in row] for row in entries)
+        r1, r2 = (Decimal(float(v)) for v in row_targets)
+        c1, c2 = (Decimal(float(v)) for v in col_targets)
+        rho = (c1 + c2) / (r1 + r2)
+        r1, r2 = r1 * rho, r2 * rho
+        kappa = (a11 * a22) / (a12 * a21)
+        swap = kappa > 1
+        if swap:
+            kappa, c1, c2 = 1 / kappa, c2, c1
+        b = c1 + r2 + kappa * (c2 - r2)
+        s21 = 2 * c1 * r2 / (b + (b * b - 4 * (1 - kappa) * c1 * r2).sqrt())
+        limit = [c1 - s21, r1 - c1 + s21, s21, r2 - s21]
+        return [limit[1], limit[0], limit[3], limit[2]] if swap else limit
+
+
+def assert_near_limit(matrix, limit, rtol):
+    """Each entry within ``rtol`` of the limit, or within one spacing where the limit is subnormal."""
+    for got, want in zip(np.ravel(matrix).tolist(), limit):
+        gap = abs(Decimal(got) - want)
+        assert gap <= Decimal(rtol) * want or (want < SMALLEST_NORMAL and gap <= SUBNORMAL_SPACING), (got, want)
 
 
 class TestSingleRow:
@@ -164,13 +206,16 @@ class TestSolveR2:
         with pytest.raises(NearSingular):
             r2_roots(data, inst.marginals)
 
-    def test_overflowing_compensated_discriminant_is_typed(self):
-        # Near-singular, so the compensated expansion runs; its squares pass
-        # the float range, which reads inf instead of raising OverflowError.
-        inst = make_instance([[1, 2], [3, 6.0000001]], [1e200, 1e180], [5e199, 5e199])
+    def test_overflowing_gate_discriminant_leaves_the_limit_exact(self):
+        # The gate's discriminant of this near-singular instance passes the
+        # float range, which reads inf instead of raising OverflowError; the
+        # closed form never forms it and gives the limit.
+        entries, rows, cols = [[1, 2], [3, 6.0000001]], [1e200, 1e180], [5e199, 5e199]
+        inst = make_instance(entries, rows, cols)
         assert quadratic_data(inst).delta == float("inf")
-        with pytest.raises(NonPositiveRoot):
-            closed_form_dispatch(inst)
+        result = closed_form_dispatch(inst)
+        assert result.method == "closed_form_2x2"
+        assert_near_limit(result.matrix, decimal_limit(entries, rows, cols), 1e-14)
 
 
 class TestClosedForm2x2:
@@ -209,18 +254,32 @@ class TestClosedForm2x2:
         with pytest.raises(NearSingular):
             closed_form_2x2(inst)
 
-    # The formula overflows at these scales (ROADMAP item 1).  Until it is
-    # fixed the failure is a typed error alone, with no numpy warning before
-    # it, and it words the entries as plain floats.
+    # At these scales a11*a22 or the targets' products pass the float range;
+    # the cross-ratio and the power-of-two target frame do not.
     @pytest.mark.parametrize("scale, target", [(1.0, 1e308), (1e80, 1.0)], ids=["targets 1e308", "matrix 1e80"])
-    def test_overflow_raises_typed_error_without_warnings(self, scale, target):
+    def test_extreme_scales_give_the_scaled_limit_without_warnings(self, scale, target):
+        base = closed_form_2x2(make_instance(*NATHANSON_INSTANCE)).matrix
         inst = make_instance(np.array([[1.0, 2.0], [3.0, 4.0]]) * scale, [target] * 2, [target] * 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonPositiveRoot) as raised:
-                closed_form_2x2(inst)
-        listed = str(raised.value).removeprefix("formula produced nonpositive entries [").split("]")[0]
-        assert len([float(v) for v in listed.split(", ")]) == 4
+            result = closed_form_2x2(inst)
+        np.testing.assert_allclose(result.matrix, base * target, rtol=1e-15, atol=0)
+
+    # No float limit, or one the formula cannot keep: a typed error with no
+    # numpy warning before it, and no row-factor branch to report.
+    @pytest.mark.parametrize("entries, targets", [
+        ([[1e300, 1e-300], [1e-300, 1e300]], [1.0, 1.0]),
+        ([[1e-300, 1e300], [1e300, 1e-300]], [1.0, 1.0]),
+        CROSS_RATIO_LOST,
+    ], ids=["kappa inf", "kappa 0", "cross-ratio lost"])
+    def test_unkept_limit_raises_typed_error_without_warnings(self, entries, targets):
+        inst = make_instance(entries, targets, targets)
+        for solve in (closed_form_2x2, closed_form_dispatch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonPositiveRoot) as raised:
+                    solve(inst)
+            assert math.isnan(raised.value.minus_root) and math.isnan(raised.value.plus_root)
 
     def test_factors_reproduce_matrix(self, rng):
         for _ in range(50):
@@ -292,6 +351,17 @@ class TestDispatch:
             result.matrix, nathanson_limit([[1, 2], [3, 4]]), atol=1e-12
         )
 
+    @pytest.mark.parametrize("entries", [[[1, 2], [3, 4]], [[2, 4], [3, 6]]], ids=["nonsingular", "singular"])
+    @pytest.mark.parametrize("defect", [1e-14, 1e-11, 9e-10])
+    def test_target_totals_that_differ_within_tolerance_give_one_matrix(self, entries, defect):
+        # Validation accepts totals 1e-9 apart; the four entries must still
+        # be one D1 A D2, with the defect left in the residual.
+        result = closed_form_dispatch(make_instance(entries, [1, 1], [1, 1 + defect]))
+        (a11, a12), (a21, a22) = entries
+        (s11, s12), (s21, s22) = result.matrix.tolist()
+        assert (s11 / s12) * (s22 / s21) == pytest.approx((a11 / a12) * (a22 / a21), rel=1e-14)
+        assert result.max_marginal_residual <= defect
+
     @pytest.mark.parametrize("shape,method", [
         ((1, 4), "closed_form_1xn"),
         ((4, 1), "transposed_delegate"),
@@ -355,12 +425,10 @@ class TestFormulaProperties:
             moved = closed_form_2x2(scaled)
             assert np.max(np.abs(moved.matrix - base.matrix)) <= 1e-12
 
-    def test_compensated_seam_agrees_with_direct_form(self):
-        # Straddle the compensation threshold: the two evaluation paths must
-        # agree far beyond the promised formula accuracy.
+    def test_near_singular_entries_meet_the_targets(self):
+        # Near-singular: det/alpha = eps/2, 2.95e-7 and 3.05e-7.
         marg = Marginals([30, 30], [10, 50])
         for eps in (5.9e-7, 6.1e-7):
-            # det = -3 eps, alpha = 6: ratio eps/2 brackets 3e-7.
             inst = validate_instance(PositiveMatrix([[1, 2 + eps], [3, 6]]), marg)
             result = closed_form_2x2(inst)
             row_res, col_res = residuals(result.matrix, inst.marginals)
@@ -373,3 +441,81 @@ class TestFormulaProperties:
             closed = closed_form_dispatch(inst)
             iterated = sinkhorn_iterate(inst)
             np.testing.assert_allclose(closed.matrix, iterated.matrix, atol=1e-6)
+
+
+def _draw(rng, k):
+    """Draw k of a seeded mix over 1xn, nx1 and generic, near-singular and singular 2x2."""
+    kind = k % 5
+    n = 2 + k % 7
+    shape = {0: (1, n), 1: (n, 1)}.get(kind, (2, 2))
+    entries = rng.uniform(0.2, 5.0, shape)
+    if kind == 3:
+        a, b, c = entries.ravel()[:3]
+        entries[1, 1] = b * c / a * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, -7.0))
+    elif kind == 4:
+        entries[1] = entries[0] * float(rng.integers(1, 10))
+    rows = rng.uniform(0.5, 3.0, shape[0])
+    weights = rng.uniform(0.5, 3.0, shape[1])
+    return entries, rows, rows.sum() * weights / weights.sum()
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / want))
+
+
+class TestClosedFormInvariances:
+    """``S(D1 A D2; R, C) = S(A; R, C)`` and its relatives, on closed_form_dispatch."""
+
+    DRAWS = 200
+
+    def test_power_of_two_target_scaling_is_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for k in range(self.DRAWS):
+            entries, rows, cols = _draw(rng, k)
+            power = int(rng.integers(-1000, 1001))
+            base = closed_form_dispatch(make_instance(entries, rows, cols))
+            moved = closed_form_dispatch(make_instance(entries, np.ldexp(rows, power), np.ldexp(cols, power)))
+            assert moved.method == base.method
+            assert moved.matrix.tobytes() == np.ldexp(base.matrix, power).tobytes()
+
+    def test_scalings_transposition_and_permutations(self):
+        rng = np.random.default_rng(43)
+        for k in range(self.DRAWS):
+            entries, rows, cols = _draw(rng, k)
+            base = closed_form_dispatch(make_instance(entries, rows, cols)).matrix
+            lam, mu = 10.0 ** rng.uniform(-300, 300, 2)
+            d1, d2 = 10.0 ** rng.uniform(-100, 100, rows.size), 10.0 ** rng.uniform(-100, 100, cols.size)
+            p, q = rng.permutation(rows.size), rng.permutation(cols.size)
+            cases = {
+                "targets x 10^U(-300,300)": (entries, lam * rows, lam * cols, lam * base),
+                "matrix x 10^U(-300,300)": (mu * entries, rows, cols, base),
+                "D1 A D2": (d1[:, None] * entries * d2[None, :], rows, cols, base),
+                "transposed": (entries.T, cols, rows, base.T),
+                "permuted": (entries[p][:, q], rows[p], cols[q], base[p][:, q]),
+            }
+            for what, (a, r, c, want) in cases.items():
+                got = closed_form_dispatch(make_instance(a, r, c)).matrix
+                assert _relative_gap(got, want) <= 1e-14, (k, what)
+
+
+class TestAdversarialMagnitudes:
+    """Entries 10^U(-150,150) and targets 10^U(-300,300), exactly consistent.
+
+    Each draw gives the limit to 1e-12 (or to one spacing where it is
+    subnormal), or a typed error; never a wrong answer or a bare one.
+    """
+
+    def test_limit_or_typed_error(self):
+        rng = np.random.default_rng(47)
+        answered = 0
+        for _ in range(400):
+            entries = 10.0 ** rng.uniform(-150, 150, (2, 2))
+            rows = 10.0 ** rng.uniform(-300, 300, 2)
+            cols = rows.copy() if rng.uniform() < 0.5 else rows[::-1].copy()
+            try:
+                result = closed_form_dispatch(make_instance(entries, rows, cols))
+            except MatrixBalanceError:
+                continue
+            assert_near_limit(result.matrix, decimal_limit(entries, rows, cols), 1e-12)
+            answered += 1
+        assert answered >= 50

@@ -757,6 +757,35 @@ class TestVerifyOnVariety:
         assert report.residuals[0] == pytest.approx(value, rel=1e-15)
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "terms,assignment",
+        [
+            pytest.param({(1, 0): 1, (0, 0): -(10**400)}, {"x": 10**400, "y": 1.0}, id="int root 1e400"),
+            pytest.param({(1, 0): 3, (0, 0): -(10**400)}, {"x": Fraction(10**400, 3), "y": 1.0}, id="Fraction root"),
+            # A float value beside an exact one is taken at its exact value.
+            pytest.param({(1, 1): 1, (0, 0): -5 * 10**399}, {"x": 10**400, "y": 0.5}, id="int times float"),
+            pytest.param({(2, 0): 1, (0, 1): -(10**800)}, {"x": -(10**400), "y": 1}, id="square of -1e400"),
+        ],
+    )
+    def test_exact_roots_past_the_float_range_read_zero(self, terms, assignment):
+        report = verify_solution_on_variety([poly(("x", "y"), terms)], assignment, tol=1e-6)
+        assert report.residuals == (0.0,)
+        assert report.passed
+
+    def test_exact_values_round_once(self):
+        # x - 10**400 at 10**400 + 1: the float path would read inf - inf = nan.
+        report = verify_solution_on_variety([poly(("x",), {(1,): 1, (0,): -(10**400)})], {"x": 10**400 + 1}, tol=2.0)
+        assert report.residuals == (1.0,) and report.passed
+
+    def test_float_values_keep_float_arithmetic(self):
+        # x + y - 3/10 at 0.1 and 0.2: the terms are summed in floating point,
+        # constant first, not at the floats' exact rational values.
+        report = verify_solution_on_variety(
+            [poly(("x", "y"), {(1, 0): 1, (0, 1): 1, (0, 0): Fraction(-3, 10)})], {"x": 0.1, "y": 0.2}, tol=1e-6
+        )
+        assert report.residuals == ((-0.3 + 0.2) + 0.1,)
+        assert report.residuals != (float(Fraction(0.1) + Fraction(0.2) - Fraction(3, 10)),)
+
     def test_nan_residual_fails_wherever_it_falls(self):
         # x^2 - x at x = inf is nan; a finite residual before it must not pass the report.
         vs = ("x", "y")
