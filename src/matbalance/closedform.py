@@ -3,17 +3,18 @@
 Covered shapes: single-row matrices (the limit is just the column targets),
 single-column matrices (by transposition), and 2x2 matrices.  Since
 ``S(D1 A D2) = S(A)``, a 2x2 matrix enters its limit only through the
-cross-ratio ``kappa = (a11/a12)(a22/a21)``, and each limit entry is the
-positive root of its own quadratic in ``kappa`` and the targets, evaluated
-where nothing overflows or cancels.  The singular limit ``R_i C_j / sum(R)``
-is the case ``kappa = 1``.  :func:`quadratic_data`, :func:`r2_roots` and
-:func:`solve_r2` keep the paper's quadratic for the second row factor, which
-the acceptance gate checks; the dispatch path does not use them.
+cross-ratio ``kappa = (a11/a12)(a22/a21)``, taken on exact exponents, and each
+limit entry is the positive root of its own quadratic in ``kappa`` and the
+targets, evaluated where nothing overflows or cancels.  The singular limit
+``R_i C_j / sum(R)`` is the case ``kappa = 1``.  :func:`quadratic_data`,
+:func:`r2_roots` and :func:`solve_r2` keep the paper's quadratic for the
+second row factor, which the acceptance gate checks; the dispatch path does not.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ from .core import (
 # |kappa - 1| <= threshold * kappa routes to the singular formula: where
 # floating point no longer tells the two limits apart, not a property of the limit.
 SINGULARITY_THRESHOLD = 1e-12
+
+_MIN_NORMAL = sys.float_info.min
+# Terms that each underflow by a subnormal spacing leave a sum above this exact to rounding.
+_MIN_PRECISE_SUM = _MIN_NORMAL / sys.float_info.epsilon
 
 
 class WrongShape(MatrixBalanceError, ValueError):
@@ -103,11 +108,8 @@ def quadratic_data(instance: ValidatedInstance) -> QuadraticData:
     # positive data (c1t + c2t - r2t is the first row target).  Products,
     # not **: a float square past the range raises OverflowError.
     left, right = c2t - r2t, c1t - r2t
-    delta = (
-        alpha * alpha * (left * left)
-        + 2.0 * alpha * beta * (c1t * c2t + r2t * (c1t + c2t - r2t))
-        + beta * beta * (right * right)
-    )
+    delta = alpha * alpha * (left * left) + 2.0 * alpha * beta * (c1t * c2t + r2t * (c1t + c2t - r2t))
+    delta += beta * beta * (right * right)
     if delta < 0:
         raise NegativeDiscriminant(
             f"discriminant {delta!r} < 0 for alpha={alpha!r}, beta={beta!r}, det={det!r}"
@@ -164,87 +166,106 @@ def closed_form_nx1(instance: ValidatedInstance) -> ScaledResult:
     return _result(matrix, factors, instance.marginals, "transposed_delegate")
 
 
+def _ratio_product(numerators, denominators, exponent: int = 0) -> float:
+    """``2**exponent * prod(numerators) / prod(denominators)``: exponents add exactly, mantissas round."""
+    tops, bottoms = [math.frexp(x) for x in numerators], [math.frexp(x) for x in denominators]
+    mantissa = math.prod(m for m, _ in tops) / math.prod(m for m, _ in bottoms)
+    try:
+        return math.ldexp(mantissa, exponent + sum(e for _, e in tops) - sum(e for _, e in bottoms))
+    except OverflowError:
+        return math.inf
+
+
 def _positive_root(e: float, b: float, c: float, root: float) -> float:
-    """The positive root of ``e y^2 + b y - c``, with ``root`` the square root of its discriminant."""
-    return 2.0 * c / (b + root) if b >= 0 else (root - b) / (2.0 * e)
+    """The positive root of ``e y^2 + b y - c`` (``root`` is the discriminant's); 0 if ``c`` underflowed."""
+    if b < 0:
+        return (root - b) / (2.0 * e)
+    return 2.0 * c / (b + root) if c >= _MIN_NORMAL else 0.0
 
 
-def _entries_2x2(kappa: float, marginals: Marginals) -> list[float]:
-    """The 2x2 limit entries ``[s11, s12, s21, s22]`` for cross-ratio ``kappa``.
+def _entries_2x2(kappa: float, r1: float, r2: float, c1: float, c2: float) -> list[float]:
+    """The 2x2 limit entries ``[s11, s12, s21, s22]`` for a cross-ratio ``kappa`` of full precision.
 
-    The targets are divided by a power of two, and the columns are swapped
-    when ``kappa > 1``, so the frame's cross-ratio ``k`` is at most 1.  Then
-    every term of the one discriminant
-    ``(C1 - R2)^2 + 2 k (C1 C2 + R1 R2) + k^2 (C2 - R2)^2`` is nonnegative,
-    and each root is taken in the form that adds two nonnegative numbers.
-    Raises :class:`NonPositiveRoot` when an entry is not positive or when
-    the entries lost the cross-ratio to rounding.
+    Symmetries bring the frame to ``kappa <= 1`` with ``R2`` the largest target, moved by a power
+    of two to [2^500, 2^501) and taken as ``C1 + C2 - R1``: totals that differ within tolerance leave
+    their defect on the largest target alone.  Each term of the one discriminant is then nonnegative,
+    each entry the root of its own quadratic in the form that adds two nonnegative numbers, and an
+    entry below the frame's normal range is rebuilt in the targets' units from the other three.
     """
-    (r1, r2), (c1, c2) = marginals.row_targets.tolist(), marginals.col_targets.tolist()
-    # Swapping the columns turns kappa into 1 / kappa, so k <= 1 below.
-    swap = kappa > 1.0
-    k, c1, c2 = (1.0 / kappa, c2, c1) if swap else (kappa, c1, c2)
-    # A power of two keeps the bits: the largest target lands in [1, 2).
-    scale = math.ldexp(1.0, math.frexp(max(r1, r2, c1, c2))[1] - 1)
-    r1, r2, c1, c2 = r1 / scale, r2 / scale, c1 / scale, c2 / scale
-    # Validated totals may differ by DEFAULT_CONSISTENCY_TOL; the four roots
-    # describe one matrix only for targets that agree, so rows take the column total.
-    rho = (c1 + c2) / (r1 + r2)
-    r1, r2 = r1 * rho, r2 * rho
-    root = math.sqrt((c1 - r2) * (c1 - r2) + 2.0 * k * (c1 * c2 + r1 * r2) + k * k * ((c2 - r2) * (c2 - r2)))
-    s11 = _positive_root(1.0 - k, r2 - c1 + k * (r1 + c1), k * r1 * c1, root)
-    s12 = _positive_root(k - 1.0, r1 + c2 + k * (r2 - c2), r1 * c2, root)
-    s21 = _positive_root(k - 1.0, c1 + r2 + k * (c2 - r2), c1 * r2, root)
-    s22 = _positive_root(1.0 - k, r1 - c2 + k * (r2 + c2), k * r2 * c2, root)
-    entries = [s * scale for s in ([s12, s11, s22, s21] if swap else [s11, s12, s21, s22])]
-    if not (all(0.0 < s < math.inf for s in entries) and abs((s11 / s12) * (s22 / s21) - k) <= 1e-12 * k):
-        raise NonPositiveRoot(
-            f"formula produced entries {entries!r} off the cross-ratio {kappa!r}", math.nan, math.nan
-        )
+    if kappa > 1.0:  # swapping the columns turns kappa into 1 / kappa
+        s11, s12, s21, s22 = _entries_2x2(1.0 / kappa, r1, r2, c2, c1)
+        return [s12, s11, s22, s21]
+    if max(c1, c2) > max(r1, r2):  # transposing keeps kappa
+        s11, s12, s21, s22 = _entries_2x2(kappa, c1, c2, r1, r2)
+        return [s11, s21, s12, s22]
+    if r1 > r2:  # so does reversing both rows and columns
+        return _entries_2x2(kappa, r2, r1, c2, c1)[::-1]
+    k, shift = kappa, math.frexp(r2)[1] - 501
+    r1, c1, c2 = (math.ldexp(t, -shift) for t in (r1, c1, c2))
+    r2 = c1 + c2 - r1
+    delta = (r1 - c2) * (r1 - c2) + 2.0 * k * (c1 * c2 + r1 * r2) + (k * (r1 - c1)) * (k * (r1 - c1))
+    if min(r1, r2, c1, c2) < _MIN_NORMAL or delta < _MIN_PRECISE_SUM:
+        raise NonPositiveRoot("targets too far apart for the 2x2 closed form", math.nan, math.nan)
+    root = math.sqrt(delta)
+    frame = [
+        _positive_root(1.0 - k, (c2 - r1) + k * (r1 + c1), k * (r1 * c1), root),
+        _positive_root(k - 1.0, (r1 + c2) + k * (c1 - r1), r1 * c2, root),
+        _positive_root(k - 1.0, (c1 + r2) + k * (r1 - c1), c1 * r2, root),
+        _positive_root(1.0 - k, (r1 - c2) + k * (r2 + c2), k * (r2 * c2), root),
+    ]
+    try:
+        entries = [math.ldexp(f, shift) for f in frame]
+    except OverflowError:
+        raise NonPositiveRoot(f"an entry of {frame!r} passes the largest float", math.nan, math.nan) from None
+    lost = [n for n, f in enumerate(frame) if f < _MIN_NORMAL]
+    if len(lost) == 1:  # s11 s22 = k s12 s21 rebuilds the one entry the frame lost
+        n = lost[0]
+        diagonal, anti = (frame[0], frame[3]), (k, frame[1], frame[2])
+        tops, bottoms = (anti, (frame[3 - n],)) if n in (0, 3) else (diagonal, (k, frame[3 - n]))
+        entries[n] = _ratio_product(tops, bottoms, shift)
+    if len(lost) > 1 or not all(0.0 < s < math.inf for s in entries):
+        raise NonPositiveRoot(f"formula lost the entries {entries!r} to the float range", math.nan, math.nan)
     return entries
+
+
+def _limit_2x2(kappa: float, marginals: Marginals) -> np.ndarray:
+    return np.array(_entries_2x2(kappa, *marginals.row_targets.tolist(), *marginals.col_targets.tolist())).reshape(2, 2)
 
 
 def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
     """Nonsingular 2x2 limit from the cross-ratio, with factors in the c2 = 1 gauge.
 
-    All four entries must come out strictly positive and keep the
-    cross-ratio; otherwise :class:`NonPositiveRoot` is raised instead of a
-    wrong answer.  :func:`closed_form_dispatch` takes a :class:`NearSingular`
-    from here as its one singularity decision.
+    Raises :class:`NonPositiveRoot`, not a wrong answer, where the cross-ratio or an
+    entry leaves the float range.  A :class:`NearSingular` is the one singularity decision.
     """
     _require_shape(instance, 2, 2, "closed_form_2x2")
     (a11, a12), (a21, a22) = instance.matrix.entries.tolist()
-    # Ratios before the product: entries of any scale meet only as numbers of the limit's size.
-    kappa = (a11 / a12) * (a22 / a21)
-    if not 0.0 < kappa < math.inf:
-        raise NonPositiveRoot(f"cross-ratio {kappa!r} is outside (0, inf)", math.nan, math.nan)
+    kappa = _ratio_product((a11, a22), (a12, a21))
+    if not _MIN_NORMAL <= kappa <= 1.0 / _MIN_NORMAL:
+        raise NonPositiveRoot(f"cross-ratio {kappa!r} is outside the normal float range", math.nan, math.nan)
     if abs(kappa - 1.0) <= SINGULARITY_THRESHOLD * kappa:
-        raise NearSingular(
-            f"|kappa - 1| <= {SINGULARITY_THRESHOLD!r} * kappa for kappa = {kappa!r}; use the singular formula"
-        )
-    s11, s12, s21, s22 = _entries_2x2(kappa, instance.marginals)
+        raise NearSingular(f"|kappa - 1| <= {SINGULARITY_THRESHOLD!r} * kappa for kappa = {kappa!r}")
+    matrix = _limit_2x2(kappa, instance.marginals)
+    (s11, s12), (s21, s22) = matrix.tolist()
     # Factors in the c2 = 1 gauge: s12 = a12 r1, s22 = a22 r2, s21 = a21 r2 c1.
     factors = ScalingPair(np.array([s12 / a12, s22 / a22]), np.array([(s21 / s22) * (a22 / a21), 1.0]))
-    return _result(np.array([[s11, s12], [s21, s22]]), factors, instance.marginals, "closed_form_2x2")
+    return _result(matrix, factors, instance.marginals, "closed_form_2x2")
 
 
 def closed_form_2x2_singular(marginals: Marginals) -> ScaledResult:
-    """Singular 2x2 limit; depends on the targets only, not the matrix.
+    """Singular 2x2 limit ``s_ij = R_i C_j / total``: the maximum entropy solution, ``kappa = 1``.
 
-    This is the maximum entropy solution ``s_ij = R_i C_j / total``, the
-    cross-ratio evaluation at ``kappa = 1``: a singular matrix carries only
-    proportion information, so the limit is shaped entirely by the external
-    constraints.  The targets must agree within ``DEFAULT_CONSISTENCY_TOL``.
+    A singular matrix carries only proportions, so the targets alone shape the limit.  They must
+    agree within ``DEFAULT_CONSISTENCY_TOL``; :class:`NonPositiveRoot` if the entries leave the float range.
     """
     if marginals.row_targets.size != 2 or marginals.col_targets.size != 2:
         raise WrongShape("singular closed form requires 2 row and 2 col targets")
     marginals.check_consistent(DEFAULT_CONSISTENCY_TOL)
-    s11, s12, s21, s22 = _entries_2x2(1.0, marginals)
-    return _result(np.array([[s11, s12], [s21, s22]]), None, marginals, "closed_form_2x2_singular")
+    return _result(_limit_2x2(1.0, marginals), None, marginals, "closed_form_2x2_singular")
 
 
 def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:
-    """Route to the formula matching the instance shape.
+    """Route to the formula matching the instance shape; its targets are validated already.
 
     Raises:
         UnsupportedShape: no published formula covers this shape.
@@ -257,7 +278,5 @@ def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:
         try:
             return closed_form_2x2(instance)
         except NearSingular:
-            return closed_form_2x2_singular(instance.marginals)
-    raise UnsupportedShape(
-        f"no closed form for shape {instance.rows}x{instance.cols}; use the iterative solver"
-    )
+            return _result(_limit_2x2(1.0, instance.marginals), None, instance.marginals, "closed_form_2x2_singular")
+    raise UnsupportedShape(f"no closed form for shape {instance.rows}x{instance.cols}; use the iterative solver")

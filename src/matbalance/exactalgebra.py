@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import numbers
 import random
 import threading
 from dataclasses import dataclass
@@ -117,26 +116,25 @@ class MultivariatePolynomial:
         )
 
     def evaluate(self, assignment: Mapping[str, float]) -> float:
-        """Floating-point value at the assignment; every unknown must be present.
+        """Value at the assignment, every unknown required: the exact sum, rounded once.
 
-        Float values are summed in floating point, where a value or a term past
-        the float range reads as an infinity of its sign.  When a value is exact
-        (``int``, ``Fraction``) and all are finite, the sum is exact, rounded once.
+        A term with an inf or nan value is taken in floats, its finite factors rounded first.
         """
         values = []
         for name in self.variables:
             if name not in assignment:
                 raise MissingAssignment(name)
             values.append(assignment[name])
-        if any(isinstance(v, numbers.Rational) for v in values) and not any(map(_is_nonfinite_float, values)):
-            exact = [Fraction(v if isinstance(v, numbers.Rational) else float(v)) for v in values]
-            terms = (coeff * math.prod(x**e for x, e in zip(exact, mono) if e) for mono, coeff in self.terms.items())
-            return _float_value(sum(terms))
-        values = [_float_value(v) for v in values]
-        total = 0.0
-        for mono, coeff in sorted(self.terms.items()):
-            total += _term_value(coeff, [(v, e) for v, e in zip(values, mono) if e])
-        return total
+        exact, nonfinite = Fraction(0), 0.0
+        for mono, coeff in self.terms.items():
+            powers = [(v, e) for v, e in zip(values, mono) if e]
+            term = coeff * math.prod(Fraction(v) ** e for v, e in powers if abs(v) < math.inf)
+            floats = [v**e for v, e in powers if not abs(v) < math.inf]
+            if floats:
+                nonfinite += _float_value(term) * math.prod(floats)
+            else:
+                exact += term
+        return _float_value(exact) + nonfinite
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultivariatePolynomial):
@@ -169,26 +167,12 @@ class MultivariatePolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _is_nonfinite_float(value) -> bool:
-    return not isinstance(value, numbers.Rational) and not math.isfinite(value)
-
-
 def _float_value(value) -> float:
     """``float(value)``, an infinity of its sign past the float range."""
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-def _term_value(coeff: Fraction, powers: list[tuple[float, int]]) -> float:
-    """``coeff * prod(v**e)`` in floating point, an infinity past the float range."""
-    try:
-        return math.prod((float(coeff), *(v**e for v, e in powers)))
-    except OverflowError:
-        # Take the finite factors exactly; an inf or nan factor then acts as in floats.
-        exact = coeff * math.prod(Fraction(v) ** e for v, e in powers if math.isfinite(v))
-    return math.prod((_float_value(exact), *(v**e for v, e in powers if not math.isfinite(v))))
 
 
 @dataclass(frozen=True)

@@ -458,6 +458,18 @@ class TestScaleCommand:
         assert code == EXIT_OK
         np.testing.assert_allclose(closed["matrix"], json.loads(out)["matrix"], rtol=1e-10, atol=0)
 
+    def test_totals_ulps_apart_at_kappa_1e12_give_the_closed_form(self, capsys, tmp_path):
+        # The defect between the totals lands on the largest target; the four
+        # entries keep the cross-ratio and the command does not give up.
+        path = tmp_path / "kappa_1e12.csv"
+        path.write_text("1,1e-6\n1e-6,1\n")
+        code, out, err = run_main(capsys, ["scale", str(path), "--rows", "1,1", "--cols", "1,1.00000000000001"])
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["method"] == "closed_form_2x2"
+        (s11, s12), (s21, s22) = doc["matrix"]
+        assert (s11 / s12) * (s22 / s21) == pytest.approx(1e12, rel=1e-14)
+
     def test_unrepresentable_cross_ratio_exits_defect_without_traceback(self, capsys, tmp_path):
         path = tmp_path / "kappa_inf.json"
         path.write_text(json.dumps({"matrix": [[1e300, 1e-300], [1e-300, 1e300]], "row_sums": [1, 1], "col_sums": [1, 1]}))

@@ -44,11 +44,12 @@ def make_instance(entries, row_targets, col_targets):
 
 
 NATHANSON_INSTANCE = ([[1, 2], [3, 4]], [1, 1], [1, 1])
-# kappa ~ 9.5e86 with targets 1e158 apart: the closed form loses the
-# cross-ratio of the smallest entry to rounding.
-CROSS_RATIO_LOST = (
-    [[3.656738580577423e47, 6.007777028048442e-142], [1.813517776426316e-16, 2.815975604125253e-118]],
-    [7.341633690908898e92, 4.046282994774649e-66],
+# Targets 1e369 apart with kappa ~ 4e-124: two entries fall below the
+# normal range of the closed form's power-of-two frame.
+FRAME_LOST = (
+    [[68550829416.276245, 3.1584126424125777e74], [9.46279055561426e118, 5.27782833334734e-113]],
+    [3.6486123170513485e-190, 5.274518657411852e179],
+    [5.274518657411852e179, 3.6486123170513485e-190],
 )
 SMALLEST_NORMAL = Decimal(2) ** -1022
 SUBNORMAL_SPACING = Decimal(2) ** -1074
@@ -57,17 +58,18 @@ SUBNORMAL_SPACING = Decimal(2) ** -1074
 def decimal_limit(entries, row_targets, col_targets):
     """The 2x2 limit ``[s11, s12, s21, s22]`` at 1,500 digits, from the exact float data.
 
-    Rows are rescaled to the column total, as validation lets the totals
-    differ.  ``s21`` is the small root of its quadratic where kappa <= 1
-    (swapping the columns otherwise); the rest follow from the targets.
+    Validation lets the totals differ; the largest target takes the defect,
+    as in the closed form.  ``s21`` is the small root of its quadratic where
+    kappa <= 1 (swapping the columns otherwise); the rest follow from the targets.
     """
     with localcontext() as ctx:
         ctx.prec = 1500
         (a11, a12), (a21, a22) = ([Decimal(float(v)) for v in row] for row in entries)
-        r1, r2 = (Decimal(float(v)) for v in row_targets)
-        c1, c2 = (Decimal(float(v)) for v in col_targets)
-        rho = (c1 + c2) / (r1 + r2)
-        r1, r2 = r1 * rho, r2 * rho
+        targets = [Decimal(float(v)) for v in (*row_targets, *col_targets)]
+        top = max(range(4), key=targets.__getitem__)
+        side = 2 if top < 2 else 0
+        targets[top] = targets[side] + targets[side + 1] - targets[top ^ 1]
+        r1, r2, c1, c2 = targets
         kappa = (a11 * a22) / (a12 * a21)
         swap = kappa > 1
         if swap:
@@ -267,13 +269,13 @@ class TestClosedForm2x2:
 
     # No float limit, or one the formula cannot keep: a typed error with no
     # numpy warning before it, and no row-factor branch to report.
-    @pytest.mark.parametrize("entries, targets", [
-        ([[1e300, 1e-300], [1e-300, 1e300]], [1.0, 1.0]),
-        ([[1e-300, 1e300], [1e300, 1e-300]], [1.0, 1.0]),
-        CROSS_RATIO_LOST,
-    ], ids=["kappa inf", "kappa 0", "cross-ratio lost"])
-    def test_unkept_limit_raises_typed_error_without_warnings(self, entries, targets):
-        inst = make_instance(entries, targets, targets)
+    @pytest.mark.parametrize("entries, rows, cols", [
+        ([[1e300, 1e-300], [1e-300, 1e300]], [1.0, 1.0], [1.0, 1.0]),
+        ([[1e-300, 1e300], [1e300, 1e-300]], [1.0, 1.0], [1.0, 1.0]),
+        FRAME_LOST,
+    ], ids=["kappa inf", "kappa 0", "two entries lost"])
+    def test_unkept_limit_raises_typed_error_without_warnings(self, entries, rows, cols):
+        inst = make_instance(entries, rows, cols)
         for solve in (closed_form_2x2, closed_form_dispatch):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -355,12 +357,22 @@ class TestDispatch:
     @pytest.mark.parametrize("defect", [1e-14, 1e-11, 9e-10])
     def test_target_totals_that_differ_within_tolerance_give_one_matrix(self, entries, defect):
         # Validation accepts totals 1e-9 apart; the four entries must still
-        # be one D1 A D2, with the defect left in the residual.
-        result = closed_form_dispatch(make_instance(entries, [1, 1], [1, 1 + defect]))
+        # be one D1 A D2, with the defect left on the largest target alone.
+        inst = make_instance(entries, [1, 1], [1, 1 + defect])
+        result = closed_form_dispatch(inst)
         (a11, a12), (a21, a22) = entries
         (s11, s12), (s21, s22) = result.matrix.tolist()
         assert (s11 / s12) * (s22 / s21) == pytest.approx((a11 / a12) * (a22 / a21), rel=1e-14)
-        assert result.max_marginal_residual <= defect
+        row_res, col_res = residuals(result.matrix, inst.marginals)
+        assert max(abs(row_res[0]), abs(row_res[1]), abs(col_res[0])) <= 2.3e-16
+        assert abs(col_res[1]) == pytest.approx((1 + defect) - 1, rel=1e-6)
+
+    def test_singular_takes_the_instance_tolerance(self):
+        # Validated at 1e-2, the singular limit is not checked again at the default tolerance.
+        inst = validate_instance(PositiveMatrix([[1, 2], [2, 4]]), Marginals([1, 1], [1, 1.001]), consistency_tol=1e-2)
+        result = closed_form_dispatch(inst)
+        assert result.method == "closed_form_2x2_singular"
+        assert_near_limit(result.matrix, decimal_limit([[1, 2], [2, 4]], [1, 1], [1, 1.001]), 1e-15)
 
     @pytest.mark.parametrize("shape,method", [
         ((1, 4), "closed_form_1xn"),
@@ -518,4 +530,27 @@ class TestAdversarialMagnitudes:
                 continue
             assert_near_limit(result.matrix, decimal_limit(entries, rows, cols), 1e-12)
             answered += 1
-        assert answered >= 50
+        assert answered >= 150
+
+    # Entry ratios past the float range with kappa inside it; targets so far
+    # apart that the smallest entry leaves the frame's range and is rebuilt;
+    # kappa 1e12 with totals a few ulps apart.
+    @pytest.mark.parametrize("entries, rows, cols", [
+        ([[1e-170, 1e150], [1e-140, 1e140]], [1, 1], [1, 1]),
+        ([[1e160, 1e-160], [1e140, 1e-140]], [1, 1], [1, 1]),
+        ([[1, 2], [2, 4]], [1e150, 1e-10], [1e150, 1e-10]),
+        ([[1, 2], [2, 4]], [1e300, 1e10], [1e300, 1e10]),
+        ([[1, 2], [3, 4]], [1e300, 1e10], [1e300, 1e10]),
+        ([[1, 1e-6], [1e-6, 1]], [1, 1], [1, 1 + 1e-14]),
+        (
+            [[3.656738580577423e47, 6.007777028048442e-142], [1.813517776426316e-16, 2.815975604125253e-118]],
+            [7.341633690908898e92, 4.046282994774649e-66],
+            [7.341633690908898e92, 4.046282994774649e-66],
+        ),
+    ], ids=["a11/a12 1e-320", "a11/a12 1e320", "singular 1e160 apart", "singular rebuilt", "rebuilt",
+            "kappa 1e12 totals apart", "kappa 9.5e86 targets 1e158 apart"])
+    def test_extreme_ratios_give_the_limit(self, entries, rows, cols):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = closed_form_dispatch(make_instance(entries, rows, cols))
+        assert_near_limit(result.matrix, decimal_limit(entries, rows, cols), 1e-14)

@@ -777,14 +777,14 @@ class TestVerifyOnVariety:
         report = verify_solution_on_variety([poly(("x",), {(1,): 1, (0,): -(10**400)})], {"x": 10**400 + 1}, tol=2.0)
         assert report.residuals == (1.0,) and report.passed
 
-    def test_float_values_keep_float_arithmetic(self):
-        # x + y - 3/10 at 0.1 and 0.2: the terms are summed in floating point,
-        # constant first, not at the floats' exact rational values.
+    def test_float_values_are_summed_exactly(self):
+        # x + y - 3/10 at 0.1 and 0.2: the floats' exact values, summed
+        # exactly and rounded once, not the floating-point sum of the terms.
         report = verify_solution_on_variety(
             [poly(("x", "y"), {(1, 0): 1, (0, 1): 1, (0, 0): Fraction(-3, 10)})], {"x": 0.1, "y": 0.2}, tol=1e-6
         )
-        assert report.residuals == ((-0.3 + 0.2) + 0.1,)
-        assert report.residuals != (float(Fraction(0.1) + Fraction(0.2) - Fraction(3, 10)),)
+        assert report.residuals == (float(Fraction(0.1) + Fraction(0.2) - Fraction(3, 10)),)
+        assert report.residuals != ((-0.3 + 0.2) + 0.1,)
 
     def test_nan_residual_fails_wherever_it_falls(self):
         # x^2 - x at x = inf is nan; a finite residual before it must not pass the report.
