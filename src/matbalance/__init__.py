@@ -49,7 +49,6 @@ _EXPORTS = {
         "NegativeDiscriminant",
         "NonPositiveRoot",
         "QuadraticData",
-        "SINGULARITY_THRESHOLD",
         "UnsupportedShape",
         "WrongShape",
         "closed_form_1xn",

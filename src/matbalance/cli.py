@@ -312,7 +312,7 @@ def _run_factors(args: argparse.Namespace) -> tuple[dict, int]:
     gauge = _fit_gauge(gauge, instance.rows, instance.cols)
     result = _solve(args, instance, config)
     if result.factors is None:
-        # Singular closed form carries no factors; rerun iteratively.
+        # A closed form whose factors leave the float range carries none; rerun iteratively.
         result = sinkhorn_iterate(instance, config)
     pair = extract_factors(instance, result, gauge)
     doc = _result_document("factors", config, instance, result)

@@ -6,7 +6,8 @@ single-column matrices (by transposition), and 2x2 matrices.  Since
 cross-ratio ``kappa = (a11/a12)(a22/a21)``, taken on exact exponents, and each
 limit entry is the positive root of its own quadratic in ``kappa`` and the
 targets, evaluated where nothing overflows or cancels.  The singular limit
-``R_i C_j / sum(R)`` is the case ``kappa = 1``.  :func:`quadratic_data`,
+``R_i C_j / sum(R)`` is the case ``kappa = 1``, an ordinary input.  Each formula
+attaches its factors only if all are positive finite floats.  :func:`quadratic_data`,
 :func:`r2_roots` and :func:`solve_r2` keep the paper's quadratic for the
 second row factor, which the acceptance gate checks; the dispatch path does not.
 """
@@ -23,15 +24,12 @@ from .core import (
     DEFAULT_CONSISTENCY_TOL,
     Marginals,
     MatrixBalanceError,
+    NonPositiveInput,
     ScaledResult,
     ScalingPair,
     ValidatedInstance,
     max_abs_residual,
 )
-
-# |kappa - 1| <= threshold * kappa routes to the singular formula: where
-# floating point no longer tells the two limits apart, not a property of the limit.
-SINGULARITY_THRESHOLD = 1e-12
 
 _MIN_NORMAL = sys.float_info.min
 # Terms that each underflow by a subnormal spacing leave a sum above this exact to rounding.
@@ -47,7 +45,7 @@ class UnsupportedShape(MatrixBalanceError, ValueError):
 
 
 class NearSingular(MatrixBalanceError):
-    """The 2x2 matrix is too close to singular for the nonsingular formula."""
+    """The paper's quadratic for the second row factor degenerates: ``2 a22 det`` is 0."""
 
 
 class NegativeDiscriminant(MatrixBalanceError):
@@ -86,9 +84,13 @@ def _require_shape(instance: ValidatedInstance, rows: int | None, cols: int | No
         raise WrongShape(f"{what} requires {cols} column(s), got {instance.cols}")
 
 
-def _result(matrix: np.ndarray, factors: ScalingPair | None, marginals: Marginals, method: str) -> ScaledResult:
-    """A closed-form result: no iterations, converged, with its measured residual."""
-    return ScaledResult(matrix, factors, 0, max_abs_residual(matrix, marginals), True, method)
+def _result(matrix: np.ndarray, factors: tuple | None, marginals: Marginals, method: str) -> ScaledResult:
+    """A converged closed-form result with its residual, and the (row, col) factors if all are finite and > 0."""
+    try:
+        pair = None if factors is None else ScalingPair(*factors)
+    except NonPositiveInput:
+        pair = None
+    return ScaledResult(matrix, pair, 0, max_abs_residual(matrix, marginals), True, method)
 
 
 def quadratic_data(instance: ValidatedInstance) -> QuadraticData:
@@ -152,18 +154,18 @@ def closed_form_1xn(instance: ValidatedInstance) -> ScaledResult:
     """Single-row limit: the row of column targets, whatever the entries."""
     _require_shape(instance, 1, None, "closed_form_1xn")
     col_targets = instance.marginals.col_targets
-    matrix = col_targets[None, :].copy()
-    factors = ScalingPair(np.ones(1), col_targets / instance.matrix.entries[0, :])
-    return _result(matrix, factors, instance.marginals, "closed_form_1xn")
+    with np.errstate(over="ignore"):
+        col_factors = col_targets / instance.matrix.entries[0, :]
+    return _result(col_targets[None, :].copy(), (np.ones(1), col_factors), instance.marginals, "closed_form_1xn")
 
 
 def closed_form_nx1(instance: ValidatedInstance) -> ScaledResult:
     """Single-column limit: the column of row targets, the transposed single-row formula."""
     _require_shape(instance, None, 1, "closed_form_nx1")
     row_targets = instance.marginals.row_targets
-    matrix = row_targets[:, None].copy()
-    factors = ScalingPair(row_targets / instance.matrix.entries[:, 0], np.ones(1))
-    return _result(matrix, factors, instance.marginals, "transposed_delegate")
+    with np.errstate(over="ignore"):
+        row_factors = row_targets / instance.matrix.entries[:, 0]
+    return _result(row_targets[:, None].copy(), (row_factors, np.ones(1)), instance.marginals, "transposed_delegate")
 
 
 def _ratio_product(numerators, denominators, exponent: int = 0) -> float:
@@ -233,22 +235,20 @@ def _limit_2x2(kappa: float, marginals: Marginals) -> np.ndarray:
 
 
 def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
-    """Nonsingular 2x2 limit from the cross-ratio, with factors in the c2 = 1 gauge.
+    """2x2 limit from the cross-ratio, singular or not, with factors in the c2 = 1 gauge.
 
-    Raises :class:`NonPositiveRoot`, not a wrong answer, where the cross-ratio or an
-    entry leaves the float range.  A :class:`NearSingular` is the one singularity decision.
+    The factors are left off where one leaves the float range.  Raises
+    :class:`NonPositiveRoot`, not a wrong answer, where the cross-ratio or an entry does.
     """
     _require_shape(instance, 2, 2, "closed_form_2x2")
     (a11, a12), (a21, a22) = instance.matrix.entries.tolist()
     kappa = _ratio_product((a11, a22), (a12, a21))
     if not _MIN_NORMAL <= kappa <= 1.0 / _MIN_NORMAL:
         raise NonPositiveRoot(f"cross-ratio {kappa!r} is outside the normal float range", math.nan, math.nan)
-    if abs(kappa - 1.0) <= SINGULARITY_THRESHOLD * kappa:
-        raise NearSingular(f"|kappa - 1| <= {SINGULARITY_THRESHOLD!r} * kappa for kappa = {kappa!r}")
     matrix = _limit_2x2(kappa, instance.marginals)
     (s11, s12), (s21, s22) = matrix.tolist()
     # Factors in the c2 = 1 gauge: s12 = a12 r1, s22 = a22 r2, s21 = a21 r2 c1.
-    factors = ScalingPair(np.array([s12 / a12, s22 / a22]), np.array([(s21 / s22) * (a22 / a21), 1.0]))
+    factors = [s12 / a12, s22 / a22], [(s21 / s22) * (a22 / a21), 1.0]
     return _result(matrix, factors, instance.marginals, "closed_form_2x2")
 
 
@@ -275,8 +275,5 @@ def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:
     if instance.cols == 1:
         return closed_form_nx1(instance)
     if instance.rows == 2 and instance.cols == 2:
-        try:
-            return closed_form_2x2(instance)
-        except NearSingular:
-            return _result(_limit_2x2(1.0, instance.marginals), None, instance.marginals, "closed_form_2x2_singular")
+        return closed_form_2x2(instance)
     raise UnsupportedShape(f"no closed form for shape {instance.rows}x{instance.cols}; use the iterative solver")

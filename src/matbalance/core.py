@@ -156,8 +156,8 @@ class ScaledResult:
     """A balanced matrix plus convergence diagnostics.
 
     ``method`` is one of ``iterative``, ``closed_form_1xn``, ``closed_form_2x2``,
-    ``closed_form_2x2_singular``, or ``transposed_delegate``.  The matrix is
-    taken over, not copied: it is validated in place and made read-only.
+    ``transposed_delegate``, or ``closed_form_2x2_singular``, which only that function
+    returns.  The matrix is taken over, not copied: it is validated in place and made read-only.
     """
 
     matrix: np.ndarray

@@ -46,7 +46,7 @@ from .errors import NotConverged, check_integer
 
 
 class FactorsUnavailable(MatrixBalanceError):
-    """The result carries no scaling factors, as the singular 2x2 closed form gives none."""
+    """The result carries no scaling factors: a closed form whose factors leave the float range."""
 
 
 class NonPositiveLambda(MatrixBalanceError, ValueError):

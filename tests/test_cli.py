@@ -390,11 +390,12 @@ class TestScaleCommand:
         for res, target in zip(doc["col_residuals"], doc["col_targets"]):
             assert abs(res) <= tol * max(1.0, target)
 
-    def test_csv_input_and_singular_route(self, capsys, csv_doc):
+    def test_csv_input_and_singular_matrix(self, capsys, csv_doc):
+        # A singular matrix is the cross-ratio 1, an ordinary input of the 2x2 closed form.
         code, out, _ = run_main(capsys, ["scale", csv_doc, "--rows", "1,1", "--cols", "1,1"])
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["method"] == "closed_form_2x2_singular"
+        assert doc["method"] == "closed_form_2x2"
         assert doc["matrix"] == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_inconsistent_exits_3(self, capsys, tmp_path):
@@ -530,6 +531,37 @@ class TestScaleCommand:
         assert float(rows[0][0]) == pytest.approx(2 / (2 + np.sqrt(6)), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSubnormalMatrices:
+    """Every entry near 1e-320: the limit is representable, the c2 = 1 factors are not."""
+
+    # Each entry is an exact multiple of 2024 subnormal spacings, so these
+    # matrices are 1e-320-scaled copies of small integer ones.
+    CASES = [
+        ("1e-320,2e-320,3e-320", "6", "1,2,3", [[1.0, 2.0, 3.0]]),
+        ("1e-320\n2e-320\n3e-320", "1,2,3", "6", [[1.0], [2.0], [3.0]]),
+        ("1e-320,2e-320\n3e-320,4e-320", "1,1", "1,1", nathanson_limit([[1, 2], [3, 4]]).tolist()),
+        ("1e-320,2e-320\n2e-320,4e-320", "1,1", "1,1", [[0.5, 0.5], [0.5, 0.5]]),
+    ]
+    IDS = ["1x3", "3x1", "2x2", "2x2 singular"]
+
+    @pytest.mark.parametrize("text, rows, cols, limit", CASES, ids=IDS)
+    def test_scale_gives_the_limit(self, capsys, tmp_path, text, rows, cols, limit):
+        path = tmp_path / "tiny.csv"
+        path.write_text(text + "\n")
+        code, out, err = run_main(capsys, ["scale", str(path), "--rows", rows, "--cols", cols])
+        assert (code, err) == (EXIT_OK, "")
+        np.testing.assert_allclose(json.loads(out)["matrix"], limit, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("text, rows, cols, limit", CASES, ids=IDS)
+    def test_factors_is_a_typed_refusal(self, capsys, tmp_path, text, rows, cols, limit):
+        path = tmp_path / "tiny.csv"
+        path.write_text(text + "\n")
+        code, out, err = run_main(capsys, ["factors", str(path), "--rows", rows, "--cols", cols])
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith("error: scaling factors left the positive float range")
+
+
 class TestFactorsCommand:
     def test_golden_row_factor(self, capsys, json_doc):
         code, out, _ = run_main(capsys, ["factors", json_doc, "--gauge", "c,2"])
@@ -544,14 +576,17 @@ class TestFactorsCommand:
         doc = json.loads(out)
         assert doc["gauge"] == {"kind": "unit_col_factor", "index": 2}
 
-    def test_singular_instance_falls_back_to_iterative(self, capsys, csv_doc):
+    def test_singular_instance_gives_closed_form_factors(self, capsys, csv_doc):
         code, out, _ = run_main(
             capsys, ["factors", csv_doc, "--rows", "1,1", "--cols", "1,1"]
         )
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["method"] == "iterative"
-        assert len(doc["row_factors"]) == 2
+        assert doc["method"] == "closed_form_2x2"
+        assert doc["col_factors"][1] == 1.0
+        r, c = np.array(doc["row_factors"]), np.array(doc["col_factors"])
+        rebuilt = r[:, None] * np.array([[2.0, 4.0], [3.0, 6.0]]) * c[None, :]
+        np.testing.assert_allclose(rebuilt, doc["matrix"], rtol=1e-15, atol=0)
 
 
 class TestCompareCommand:

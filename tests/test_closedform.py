@@ -251,10 +251,14 @@ class TestClosedForm2x2:
             assert np.max(np.abs(row_res)) <= 1e-12 * scale
             assert np.max(np.abs(col_res)) <= 1e-12 * scale
 
-    def test_near_singular_is_rejected(self):
-        inst = make_instance([[2, 4], [3, 6]], [1, 1], [1, 1])
-        with pytest.raises(NearSingular):
-            closed_form_2x2(inst)
+    def test_singular_matrix_gives_the_limit_and_factors(self):
+        # kappa = 1 is an ordinary input: the limit R_i C_j / total, with c2 = 1 factors.
+        inst = make_instance([[2, 4], [3, 6]], [30, 30], [10, 50])
+        result = closed_form_2x2(inst)
+        assert result.method == "closed_form_2x2"
+        np.testing.assert_allclose(result.matrix, [[5, 25], [5, 25]], rtol=1e-15, atol=0)
+        assert result.factors.col_factors[1] == 1.0
+        np.testing.assert_allclose(apply_scaling(inst.matrix, result.factors), result.matrix, rtol=1e-15, atol=0)
 
     # At these scales a11*a22 or the targets' products pass the float range;
     # the cross-ratio and the power-of-two target frame do not.
@@ -342,9 +346,11 @@ class TestDispatch:
         with pytest.raises(UnsupportedShape):
             closed_form_dispatch(random_instance(rng, 3, 3))
 
-    def test_exact_zero_det_routes_singular(self):
+    def test_exact_zero_det_takes_the_2x2_formula(self):
         result = closed_form_dispatch(make_instance([[2, 4], [3, 6]], [1, 1], [1, 1]))
-        assert result.method == "closed_form_2x2_singular"
+        assert result.method == "closed_form_2x2"
+        np.testing.assert_array_equal(result.matrix, [[0.5, 0.5], [0.5, 0.5]])
+        assert result.factors is not None
 
     def test_nonsingular_routes_to_formula(self):
         result = closed_form_dispatch(make_instance(*NATHANSON_INSTANCE))
@@ -371,7 +377,7 @@ class TestDispatch:
         # Validated at 1e-2, the singular limit is not checked again at the default tolerance.
         inst = validate_instance(PositiveMatrix([[1, 2], [2, 4]]), Marginals([1, 1], [1, 1.001]), consistency_tol=1e-2)
         result = closed_form_dispatch(inst)
-        assert result.method == "closed_form_2x2_singular"
+        assert result.method == "closed_form_2x2"
         assert_near_limit(result.matrix, decimal_limit([[1, 2], [2, 4]], [1, 1], [1, 1.001]), 1e-15)
 
     @pytest.mark.parametrize("shape,method", [
@@ -508,6 +514,23 @@ class TestClosedFormInvariances:
             for what, (a, r, c, want) in cases.items():
                 got = closed_form_dispatch(make_instance(a, r, c)).matrix
                 assert _relative_gap(got, want) <= 1e-14, (k, what)
+
+
+class TestNearSingular:
+    """A cross-ratio within 1e-12 of 1 is an ordinary input, not rounded to the singular limit."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_draws_land_within_1e_14_of_the_limit(self):
+        rng = np.random.default_rng(53)
+        for _ in range(500):
+            a, b, c = rng.uniform(0.2, 5.0, 3)
+            eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -12.0)
+            entries = [[a, b], [c, b * c / a * (1.0 + eps)]]
+            rows, weights = rng.uniform(0.5, 3.0, 2), rng.uniform(0.5, 3.0, 2)
+            cols = rows.sum() * weights / weights.sum()
+            result = closed_form_dispatch(make_instance(entries, rows, cols))
+            assert result.method == "closed_form_2x2"
+            assert_near_limit(result.matrix, decimal_limit(entries, rows, cols), 1e-14)
 
 
 class TestAdversarialMagnitudes:

@@ -318,6 +318,21 @@ def cold(store, gens):
     return buchberger(gens)
 
 
+def _two_products(d):
+    """``{xy - 1, xz - 1, y - d z}`` in lex x > y > z: consistent at d = 1, the unit ideal otherwise.
+
+    No generator reduces another to a constant, but the S-pair of the first
+    and the last, ``(xy - 1) - x (y - d z) = d xz - 1``, reduces by the
+    second to the constant ``d - 1``.
+    """
+    variables = ("x", "y", "z")
+    return [
+        poly(variables, {(1, 1, 0): 1, (0, 0, 0): -1}),
+        poly(variables, {(1, 0, 1): 1, (0, 0, 0): -1}),
+        poly(variables, {(0, 1, 0): 1, (0, 0, 1): -d}),
+    ]
+
+
 def outcome(gens, **budgets):
     try:
         return buchberger(gens, **budgets)
@@ -378,6 +393,52 @@ class TestTraceReplay:
         assert runs == {"full": 1, "replay": 1}
         # The fallback's own trace replaced the wrong one.
         assert store[key] == trace
+
+    def test_repeated_pair_gives_a_zero_remainder_and_falls_back(self, traces):
+        store, runs = traces
+        gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(7)))
+        expected = cold(store, gens)
+        (key, trace), = store.items()
+        # The first pair's remainder joins the basis, so the same pair again reduces to 0.
+        store[key] = trace._replace(pairs=(trace.pairs[0], *trace.pairs))
+        runs.update(full=0, replay=0)
+        assert buchberger(gens) == expected
+        assert runs == {"full": 1, "replay": 1}
+        assert store[key] == trace
+
+    def test_pair_index_past_the_basis_falls_back(self, traces):
+        store, runs = traces
+        gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(7)))
+        expected = cold(store, gens)
+        (key, trace), = store.items()
+        i, _, lead = trace.pairs[0]
+        store[key] = trace._replace(pairs=((i, len(trace.leads), lead), *trace.pairs[1:]))
+        runs.update(full=0, replay=0)
+        assert buchberger(gens) == expected
+        assert runs == {"full": 1, "replay": 1}
+        assert store[key] == trace
+
+    def test_constant_s_pair_remainder_gives_the_unit_basis(self, traces):
+        store, runs = traces
+        basis = cold(store, _two_products(2))
+        assert basis.is_unit
+        assert runs == {"full": 1, "replay": 0}
+        # A run cut short by a constant leaves no trace.
+        assert not store
+
+    def test_constant_remainder_in_a_replay_gives_the_unit_basis(self, traces):
+        store, runs = traces
+        unit = cold(store, _two_products(2))
+        assert not cold(store, _two_products(1)).is_unit
+        (key, trace), = store.items()
+        # At d = 1 both S-pairs reduce to 0, so the trace holds none; give it
+        # the pair of the first and the last generator.
+        assert trace.pairs == ()
+        store[key] = trace._replace(pairs=((0, 2, trace.leads[1]),))
+        runs.update(full=0, replay=0)
+        assert buchberger(_two_products(2)) == unit
+        assert unit.is_unit
+        assert runs == {"full": 0, "replay": 1}
 
     def test_trace_missing_a_productive_pair_fails_the_certificate(self, traces, monkeypatch):
         store, runs = traces

@@ -34,7 +34,8 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 # Every name the package exported before its namespace became lazy, with
-# the module that defined it then.
+# the module that defined it then, less the 2x2 singularity threshold, which
+# went when kappa = 1 became an ordinary input of the 2x2 closed form.
 EXPORTS = {
     "core": (
         "DEFAULT_CONSISTENCY_TOL", "GaugeFix", "InconsistentMarginals", "Marginals", "MatrixBalanceError",
@@ -46,8 +47,8 @@ EXPORTS = {
         "gauge_transform", "sinkhorn_iterate",
     ),
     "closedform": (
-        "NearSingular", "NegativeDiscriminant", "NonPositiveRoot", "QuadraticData", "SINGULARITY_THRESHOLD",
-        "UnsupportedShape", "WrongShape", "closed_form_1xn", "closed_form_2x2", "closed_form_2x2_singular",
+        "NearSingular", "NegativeDiscriminant", "NonPositiveRoot", "QuadraticData", "UnsupportedShape",
+        "WrongShape", "closed_form_1xn", "closed_form_2x2", "closed_form_2x2_singular",
         "closed_form_dispatch", "closed_form_nx1", "quadratic_data", "r2_roots", "solve_r2",
     ),
     "exactalgebra": (
