@@ -236,12 +236,11 @@ _TRACES_LOCK = threading.Lock()
 class _Trace(NamedTuple):
     """What a full :func:`buchberger` run did, for replay on the same supports.
 
-    ``leads`` are the leading monomials of the reduced generators, ``pairs``
-    the S-pairs ``(i, j, leading monomial of the remainder)`` that gave a
-    nonzero remainder, in order, and ``processed`` counts every pair taken.
+    ``pairs`` are the S-pairs ``(i, j, leading monomial of the remainder)``
+    that gave a nonzero remainder, in order, and ``processed`` counts every
+    pair taken.
     """
 
-    leads: tuple[int, ...]
     pairs: tuple[tuple[int, int, int], ...]
     processed: int
 
@@ -295,9 +294,8 @@ def _full_run(
     basis = _Basis(packing, max_terms)
     if not basis.add_generators(packed):
         return _UNIT_TERMS, None
-    leads = tuple(basis.leads)
     pairs: list[tuple[int, int, int]] = []
-    for t in range(len(leads)):
+    for t in range(len(basis.leads)):
         pairs = update_pairs(pairs, basis.leads, t, packing)
     productive: list[tuple[int, int, int]] = []
     processed = 0
@@ -315,7 +313,7 @@ def _full_run(
         productive.append((i, j, top))
         basis.append(r)
         pairs = update_pairs(pairs, basis.leads, len(basis.leads) - 1, packing)
-    return reduce_basis(basis.divisors, packing), _Trace(leads, tuple(productive), processed)
+    return reduce_basis(basis.divisors, packing), _Trace(tuple(productive), processed)
 
 
 def _replay(
@@ -323,22 +321,18 @@ def _replay(
 ) -> Sequence[dict[int, int]] | None:
     """The reduced basis terms from the traced pairs alone, or None once the run diverges.
 
-    A divergence is a different generator lead, a zero remainder, a
-    different remainder lead, or a pair index past the basis.
+    A divergence is a pair index past the basis, or a remainder whose
+    leading monomial is not the traced one, which a zero remainder never is.
     """
     basis = _Basis(packing, max_terms)
     if not basis.add_generators(packed):
         return _UNIT_TERMS
-    if tuple(basis.leads) != trace.leads:
-        return None
     for i, j, lead in trace.pairs:
         if j >= len(basis.divisors):
             return None
         r, _ = reduce(s_work(basis.divisors[i], basis.divisors[j], packing), basis.divisors, packing)
-        if not r:
-            return None
-        top = next(iter(r))
-        if not top:
+        top = next(iter(r), None)
+        if top == 0:
             # The constant lies in the ideal, whatever the pairs skipped.
             return _UNIT_TERMS
         if top != lead:
@@ -388,9 +382,11 @@ def buchberger(
     and the number of pairs processed.  A later call with the same key
     reduces only those pairs, in order, with no pair queue.  A nonzero
     constant remainder returns the unit basis, since the constant lies in
-    the ideal.  A zero remainder or a different leading monomial abandons
-    the replay.  A replayed basis is returned only behind a certificate:
-    after tail reduction, each of its S-pairs with non-coprime leading
+    the ideal.  Any other remainder whose leading monomial is not the
+    traced one, a zero remainder included, abandons the replay.  The
+    generators' own leading monomials are not compared: a replayed basis is
+    returned only behind a certificate, which checks every generator.
+    After tail reduction, each of its S-pairs with non-coprime leading
     monomials, and each generator, must reduce to 0 modulo it.  It is then
     the unique reduced basis of the ideal, so the result is ``==`` to the
     full run's.  A replay that diverges, fails the certificate, or meets a

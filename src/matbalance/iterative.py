@@ -13,9 +13,10 @@ divide safely without an epsilon guard.
 A sweep writes in place into buffers allocated once per solve, each of
 ``rows + cols`` entries, rows then columns: the factors ``(r, c)``, the
 sums ``(A c, A^T r)`` and the residual.  The range check of the factors is
-then one min and one max and the residual test one pass, which matters
-because numpy calls, not arithmetic, are what a sweep costs on small
-matrices.  Each entry is computed by the same operations in the same order
+then one min, and the residual test one max of the residual less its
+gate, which matters because numpy calls, not arithmetic, are what a sweep
+costs on small matrices; the largest factor is read only when that max is
+not finite.  Each entry is computed by the same operations in the same order
 as with separate row and column arrays.
 
 The limit is defined by its marginals, so they are the whole stop test:
@@ -62,9 +63,11 @@ class IterationConfig:
     and the same for columns, at every scale of the targets.  Rounding
     leaves a residual of about ``(rows + cols) * eps`` of its target, so a
     smaller ``tolerance``, or targets in the subnormal range, where the
-    gate itself loses precision, end in NotConverged.  ``max_iterations``
-    is stored as a plain int; a numpy integer is accepted, while a bool or a
-    float is refused with TypeError.
+    gate itself loses precision, end in NotConverged: after
+    ``max_iterations`` sweeps, or earlier, once the column factors repeat
+    bit for bit, which proves that no later sweep converges.
+    ``max_iterations`` is stored as a plain int; a numpy integer is
+    accepted, while a bool or a float is refused with TypeError.
     """
 
     tolerance: float = 1e-9
@@ -89,8 +92,8 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     exactly.
 
     Raises:
-        NotConverged: the iteration budget ran out first; the partial result
-            rides on the exception.
+        NotConverged: the iteration budget ran out first, or the column
+            factors repeated; the partial result rides on the exception.
         NonPositiveInput: a scaling factor came out zero, infinite or NaN;
             the sweep number is in the message.
     """
@@ -107,33 +110,64 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     r, c = stacked[:rows], stacked[rows:]
     a_c, at_r = sums[:rows], sums[rows:]
     residual = np.empty(targets.size)
-    entries_t = entries.T
-    np.dot(entries, c, out=a_c)
     converged = False
+    previous_worst, held = None, None
 
     # A factor out of range is caught by the check below and raised as a
     # typed error, so numpy's own warnings would only repeat it, untyped.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.dot(entries, c, out=a_c)
+        # Row sums below the normal range, or past the float range, would
+        # push a row factor out of range at sweep 1.  The sweeps then run on
+        # A times the power of two 2**shift that brings its largest entry
+        # near 1, and the factors take 2**shift back at the end.  Only a move
+        # up helps small sums, and only a move down large ones; any other
+        # move would round subnormal entries for nothing.
+        shift = 0
+        low = not np.minimum.reduce(a_c) >= 2.0**-1022
+        if low or not np.maximum.reduce(a_c) < np.inf:
+            move = -int(np.frexp(np.max(entries))[1])
+            if (move > 0) == low:
+                shift = move
+                entries = np.ldexp(entries, shift)
+                np.dot(entries, c, out=a_c)
+        entries_t = entries.T
         for iterations in range(1, config.max_iterations + 1):
             np.divide(row_targets, a_c, out=r)
             np.dot(entries_t, r, out=at_r)
             np.divide(col_targets, at_r, out=c)
             np.dot(entries, c, out=a_c)
+
+            # |(r, c) * (A c, A^T r) - (R, C)| - gate <= 0, both halves at once.
+            np.multiply(stacked, sums, out=residual)
+            residual -= targets
+            np.abs(residual, out=residual)
+            residual -= gate
+            worst = np.maximum.reduce(residual)
             # NaN fails every comparison, so this also catches NaN factors.
-            if not (np.minimum.reduce(stacked) > 0 and np.maximum.reduce(stacked) < np.inf):
+            # An infinite factor makes its residual inf or NaN, so the
+            # largest factor is read only when the worst residual is not finite.
+            if not (np.minimum.reduce(stacked) > 0 and (worst < np.inf or np.maximum.reduce(stacked) < np.inf)):
                 raise NonPositiveInput(
                     f"scaling factors left the positive float range at sweep {iterations}: "
                     "the matrix or target magnitudes exceed double precision"
                 )
-
-            # |(r, c) * (A c, A^T r) - (R, C)| <= gate, both halves at once.
-            np.multiply(stacked, sums, out=residual)
-            residual -= targets
-            np.abs(residual, out=residual)
-            if (residual <= gate).all():
+            if worst <= 0:
                 converged = True
                 break
+            # A sweep is a function of c alone, so once c repeats, the sweeps
+            # since cycle and none will converge.  An equal worst residual is
+            # the cheap sign that c may have repeated.
+            if worst == previous_worst:
+                if held is not None and np.array_equal(c, held):
+                    break
+                held = c.copy()
+            previous_worst = worst
 
+    if shift:
+        # Give the largest row and column factors one exponent.
+        row_shift = (shift + int(np.frexp(np.max(c))[1]) - int(np.frexp(np.max(r))[1])) // 2
+        r, c = np.ldexp(r, row_shift), np.ldexp(c, shift - row_shift)
     factors = ScalingPair(r, c)
     matrix = apply_scaling(instance.matrix, factors)
     result = ScaledResult(
@@ -159,17 +193,30 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     The pinned factor is made exactly 1.0 by dividing its own vector through
     by the pivot, so ``apply_scaling`` with the returned pair stays within a
     few ulps of the result matrix.
+
+    Raises:
+        NonPositiveInput: pinning that factor puts another outside the
+            positive float range.
     """
     if result.factors is None:
         raise FactorsUnavailable(f"the {result.method} result carries no scaling factors")
     gauge.check_fits(instance.rows, instance.cols)
     r = result.factors.row_factors
     c = result.factors.col_factors
-    if gauge.kind == "unit_row_factor":
-        pivot = r[gauge.index]
-        return ScalingPair(r / pivot, c * pivot)
-    pivot = c[gauge.index]
-    return ScalingPair(r * pivot, c / pivot)
+    # An overflow is raised below as a typed error, so numpy's warning would only repeat it.
+    with np.errstate(over="ignore"):
+        if gauge.kind == "unit_row_factor":
+            side, pivot = "row", r[gauge.index]
+            r, c = r / pivot, c * pivot
+        else:
+            side, pivot = "column", c[gauge.index]
+            r, c = r * pivot, c / pivot
+    try:
+        return ScalingPair(r, c)
+    except NonPositiveInput as exc:
+        raise NonPositiveInput(
+            f"pinning {side} factor {gauge.index + 1} to 1 puts the factors outside the positive float range"
+        ) from exc
 
 
 def gauge_transform(factors: ScalingPair, lam: float) -> ScalingPair:

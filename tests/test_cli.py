@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matbalance import ResourceLimit, exactalgebra
+from matbalance import Marginals, PositiveMatrix, ResourceLimit, exactalgebra, sinkhorn_iterate, validate_instance
 from matbalance.cli import (
     EXIT_DEFECT,
     EXIT_INCONSISTENT,
@@ -478,21 +478,24 @@ class TestScaleCommand:
         assert (code, out) == (EXIT_DEFECT, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_factors_out_of_range_print_only_the_error_line(self, tmp_path):
+    @pytest.mark.parametrize("gauge, side", [("c,1", "column"), ("r,1", "row")])
+    def test_factors_out_of_range_print_only_the_error_line(self, tmp_path, gauge, side):
         # Run as a process, so stderr holds whatever numpy would print too.
-        path = tmp_path / "subnormal.json"
-        tiny = (1e-320 * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])).tolist()
-        path.write_text(json.dumps({"matrix": tiny, "row_sums": [1, 1, 1], "col_sums": [1, 1, 1]}))
+        # Pinning either factor to 1 pushes the other side past 1e308.
+        path = tmp_path / "wide.csv"
+        path.write_text("1e-310,1e-300\n1e-10,1\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "matbalance.cli", "scale", str(path)],
+            [sys.executable, "-m", "matbalance.cli", "factors", str(path),
+             "--rows", "1,1", "--cols", "1,1", "--gauge", gauge],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == EXIT_INVALID_INPUT
         assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert proc.stderr.splitlines() == [
+            f"error: pinning {side} factor 1 to 1 puts the factors outside the positive float range"
+        ]
 
     def test_closed_form_on_unsupported_shape_exits_2(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
@@ -533,7 +536,7 @@ class TestScaleCommand:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSubnormalMatrices:
-    """Every entry near 1e-320: the limit is representable, the c2 = 1 factors are not."""
+    """Every entry near 1e-320: the limit is representable, factors with one of them pinned to 1 are not."""
 
     # Each entry is an exact multiple of 2024 subnormal spacings, so these
     # matrices are 1e-320-scaled copies of small integer ones.
@@ -542,8 +545,14 @@ class TestSubnormalMatrices:
         ("1e-320\n2e-320\n3e-320", "1,2,3", "6", [[1.0], [2.0], [3.0]]),
         ("1e-320,2e-320\n3e-320,4e-320", "1,1", "1,1", nathanson_limit([[1, 2], [3, 4]]).tolist()),
         ("1e-320,2e-320\n2e-320,4e-320", "1,1", "1,1", [[0.5, 0.5], [0.5, 0.5]]),
+        (
+            "1e-320,2e-320,3e-320\n4e-320,5e-320,6e-320\n7e-320,8e-320,1e-319", "1,1,1", "1,1,1",
+            sinkhorn_iterate(validate_instance(
+                PositiveMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]]), Marginals([1, 1, 1], [1, 1, 1])
+            )).matrix.tolist(),
+        ),
     ]
-    IDS = ["1x3", "3x1", "2x2", "2x2 singular"]
+    IDS = ["1x3", "3x1", "2x2", "2x2 singular", "3x3"]
 
     @pytest.mark.parametrize("text, rows, cols, limit", CASES, ids=IDS)
     def test_scale_gives_the_limit(self, capsys, tmp_path, text, rows, cols, limit):
@@ -559,7 +568,7 @@ class TestSubnormalMatrices:
         path.write_text(text + "\n")
         code, out, err = run_main(capsys, ["factors", str(path), "--rows", rows, "--cols", cols])
         assert (code, out) == (EXIT_INVALID_INPUT, "")
-        assert err.startswith("error: scaling factors left the positive float range")
+        assert err.startswith("error: pinning ") and err.endswith(" to 1 puts the factors outside the positive float range\n")
 
 
 class TestFactorsCommand:

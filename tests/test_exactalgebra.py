@@ -412,7 +412,8 @@ class TestTraceReplay:
         expected = cold(store, gens)
         (key, trace), = store.items()
         i, _, lead = trace.pairs[0]
-        store[key] = trace._replace(pairs=((i, len(trace.leads), lead), *trace.pairs[1:]))
+        # Before any pair, the basis holds at most the generators.
+        store[key] = trace._replace(pairs=((i, len(gens), lead), *trace.pairs[1:]))
         runs.update(full=0, replay=0)
         assert buchberger(gens) == expected
         assert runs == {"full": 1, "replay": 1}
@@ -432,9 +433,11 @@ class TestTraceReplay:
         assert not cold(store, _two_products(1)).is_unit
         (key, trace), = store.items()
         # At d = 1 both S-pairs reduce to 0, so the trace holds none; give it
-        # the pair of the first and the last generator.
+        # the pair of the first and the last generator, with the lead xz of
+        # its S-polynomial.
         assert trace.pairs == ()
-        store[key] = trace._replace(pairs=((0, 2, trace.leads[1]),))
+        xz = exactalgebra.Packing(3).pack((1, 0, 1))
+        store[key] = trace._replace(pairs=((0, 2, xz),))
         runs.update(full=0, replay=0)
         assert buchberger(_two_products(2)) == unit
         assert unit.is_unit
@@ -504,9 +507,11 @@ class TestTraceReplay:
         keys = list(store)
         # A full key is still refreshed: a fallback replaces its trace.
         gens = build_scaling_ideal(random_rational_instance(2, 2, rng))
-        store[keys[0]] = store[keys[0]]._replace(leads=())
+        trace = store[keys[0]]
+        i, j, lead = trace.pairs[0]
+        store[keys[0]] = trace._replace(pairs=((i, j, lead + 1), *trace.pairs[1:]))
         buchberger(gens)
-        assert store[keys[0]].leads
+        assert store[keys[0]] == trace
 
     def test_warm_bases_match_sympy(self, traces):
         store, runs = traces

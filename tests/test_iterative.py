@@ -182,15 +182,23 @@ class TestSinkhornIterate:
         np.testing.assert_allclose(moved.matrix, base.matrix, rtol=0, atol=atol)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_factors_out_of_float_range_stop_early(self):
-        # Row sums of 1e-320 * M are subnormal, so 1 / (A c) overflows.
-        entries = 1e-320 * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.0, 9.0]])
-        inst = validate_instance(PositiveMatrix(entries), Marginals([1, 1, 1], [1, 1, 1]))
-        with pytest.raises(NonPositiveInput) as err:
-            sinkhorn_iterate(inst)
-        sweep = re.search(r"at sweep (\d+)", str(err.value))
-        assert sweep is not None
-        assert int(sweep.group(1)) <= 2
+    @pytest.mark.parametrize("scale", [1e-320, 1e307], ids=["subnormal row sums", "row sums overflow"])
+    @pytest.mark.parametrize("targets", [Marginals([1, 1, 1], [1, 1, 1]), _TARGETS_3X3], ids=["unit", "mixed"])
+    def test_matrix_past_the_normal_range_gives_the_scale_one_limit(self, scale, targets):
+        # Row sums of 1e-320 * A are subnormal, and those of 1e307 * A
+        # overflow.  1e-320 is an exact multiple of the subnormal spacing, so
+        # that matrix is exactly proportional to A; 1e307 * A is within
+        # rounding of it.
+        base = sinkhorn_iterate(validate_instance(PositiveMatrix(_GENERIC_3X3), targets))
+        moved = sinkhorn_iterate(validate_instance(PositiveMatrix(_GENERIC_3X3 * scale), targets))
+        assert moved.iterations == base.iterations
+        assert np.max(np.abs(moved.matrix - base.matrix) / base.matrix) <= 1e-15
+        # The sweeps ran on the matrix moved near 1 by a power of two, and the
+        # factors carry that power back without changing a bit of the limit.
+        shift = -np.frexp(np.max(_GENERIC_3X3 * scale))[1]
+        near_one = sinkhorn_iterate(validate_instance(PositiveMatrix(np.ldexp(_GENERIC_3X3 * scale, shift)), targets))
+        np.testing.assert_array_equal(moved.matrix, near_one.matrix)
+        np.testing.assert_array_equal(apply_scaling(_GENERIC_3X3 * scale, moved.factors), moved.matrix)
 
     def test_stop_metrics_agree_with_plain_scaling(self):
         rng = np.random.default_rng(7)
@@ -244,6 +252,25 @@ class TestTargetScaleInvariance:
         except MatrixBalanceError:
             return
         np.testing.assert_allclose(moved.matrix / 1e-315, expected.matrix, rtol=1e-9, atol=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows, cols", [(5, 7), (12, 15), (30, 20)])
+    def test_subnormal_targets_stop_once_the_factors_repeat(self, rows, cols):
+        # At targets of 1e-315 the residuals cannot reach a gate of 1e-9 of
+        # them, and the sweeps soon return to factors already seen.
+        base = random_instance(np.random.default_rng(0), rows, cols)
+        with pytest.raises(NotConverged) as err:
+            sinkhorn_iterate(scaled_targets(base, 1e-315))
+        partial = err.value.result
+        assert partial.iterations <= 20
+        assert str(err.value) == (
+            f"no convergence after {partial.iterations} iterations "
+            f"(max marginal residual {partial.max_marginal_residual!r})"
+        )
+        # Subnormal entries are spaced 2**-1074 apart; the partial result lies
+        # within a few spacings of the limit.
+        limit = 1e-315 * sinkhorn_iterate(base).matrix
+        assert np.max(np.abs(partial.matrix - limit)) <= 8 * np.nextafter(0.0, 1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-250, 1e-100, 1e-12, 1e-6, 1e6, 1e12, 1e100, 1e250])
@@ -328,7 +355,8 @@ class TestToleranceBelowRounding:
         with pytest.raises(NotConverged) as err:
             sinkhorn_iterate(instance, IterationConfig(tolerance=1e-20, max_iterations=200))
         result = err.value.result
-        assert result.iterations == 200
+        # The run may stop early, once the factors repeat.
+        assert result.iterations <= 200
         assert 0 < result.max_marginal_residual < 1e-12
 
 
@@ -430,17 +458,28 @@ class TestStackedLoop:
     @pytest.mark.parametrize(
         "entries, targets",
         [
-            (_GENERIC_3X3 * 1e-320, _TARGETS_3X3),
             # Row factors of 1e308 push a column sum past the float range, so
             # a column factor is the first to reach 0.
             (np.array([[1.0, 1e-20], [1.0, 1e-20]]), Marginals([1e308, 1e308], [1e308, 1e308])),
         ],
-        ids=["matrix 1e-320", "column sum overflows"],
+        ids=["column sum overflows"],
     )
     def test_nonpositive_input_at_the_same_sweep(self, entries, targets):
         instance = validate_instance(PositiveMatrix(entries), targets)
         expected = solve_outcome(separate_halves_loop, instance, IterationConfig())
         assert expected[0][0] is NonPositiveInput
+        assert solve_outcome(sinkhorn_iterate, instance, IterationConfig()) == expected
+
+    def test_subnormal_row_beside_large_entries_runs_unmoved(self):
+        # The first row sum is subnormal, but the largest entry is already
+        # near 1, and a move down would round the subnormal entries; the
+        # sweeps run on the matrix as given.
+        instance = validate_instance(
+            PositiveMatrix([[1e-320, 3e-320, 2e-320], [1.0, 2.0, 0.5]]),
+            Marginals([1e-300, 1.0], [0.25, 0.5, 0.25]),
+        )
+        expected = solve_outcome(separate_halves_loop, instance, IterationConfig())
+        assert expected[0] is None
         assert solve_outcome(sinkhorn_iterate, instance, IterationConfig()) == expected
 
 
@@ -496,6 +535,19 @@ class TestExtractFactors:
         assert result.method == "closed_form_2x2_singular" and result.factors is None
         with pytest.raises(FactorsUnavailable, match="closed_form_2x2_singular"):
             extract_factors(inst, result, GaugeFix("unit_col_factor", 1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gauge, side", [
+        (GaugeFix("unit_col_factor", 0), "column"),
+        (GaugeFix("unit_row_factor", 0), "row"),
+    ])
+    def test_pinned_factor_pushing_the_others_out_of_range_is_typed(self, gauge, side):
+        # The limit's factors span ~1e310, so any factor pinned to 1 leaves
+        # another past the float range.
+        inst = unit_2x2([[1e-310, 1e-300], [1e-10, 1.0]])
+        result = sinkhorn_iterate(inst)
+        with pytest.raises(NonPositiveInput, match=f"^pinning {side} factor 1 to 1 puts the factors outside"):
+            extract_factors(inst, result, gauge)
 
     def test_gauge_index_out_of_range(self):
         inst = unit_2x2([[1, 2], [3, 4]])
