@@ -40,6 +40,7 @@ _EXPORTS = {
         "FactorsUnavailable",
         "IterationConfig",
         "NonPositiveLambda",
+        "UnrepresentableLimit",
         "extract_factors",
         "gauge_transform",
         "sinkhorn_iterate",

@@ -24,11 +24,12 @@ from .core import (
     DEFAULT_CONSISTENCY_TOL,
     Marginals,
     MatrixBalanceError,
-    NonPositiveInput,
     ScaledResult,
     ScalingPair,
     ValidatedInstance,
-    max_abs_residual,
+    _largest_abs,
+    _residuals,
+    _sealed,
 )
 
 _MIN_NORMAL = sys.float_info.min
@@ -84,13 +85,20 @@ def _require_shape(instance: ValidatedInstance, rows: int | None, cols: int | No
         raise WrongShape(f"{what} requires {cols} column(s), got {instance.cols}")
 
 
-def _result(matrix: np.ndarray, factors: tuple | None, marginals: Marginals, method: str) -> ScaledResult:
-    """A converged closed-form result with its residual, and the (row, col) factors if all are finite and > 0."""
-    try:
-        pair = None if factors is None else ScalingPair(*factors)
-    except NonPositiveInput:
-        pair = None
-    return ScaledResult(matrix, pair, 0, max_abs_residual(matrix, marginals), True, method)
+def _result(matrix: np.ndarray, factors: tuple | None, residual: float, method: str) -> ScaledResult:
+    """A converged closed-form result of checked entries, with its (row, col) factors if all are in range."""
+    pair = None if factors is None else _sealed(ScalingPair, row_factors=factors[0], col_factors=factors[1])
+    return _sealed(
+        ScaledResult, matrix=matrix, factors=pair, iterations=0, max_marginal_residual=residual, converged=True,
+        method=method,
+    )
+
+
+def _line_factors(targets: np.ndarray, entries: np.ndarray) -> np.ndarray | None:
+    """The factors ``targets / entries`` of a single row or column, or None if one leaves the float range."""
+    with np.errstate(over="ignore"):
+        factors = targets / entries
+    return factors if np.minimum.reduce(factors) > 0 and np.maximum.reduce(factors) < np.inf else None
 
 
 def quadratic_data(instance: ValidatedInstance) -> QuadraticData:
@@ -154,26 +162,33 @@ def closed_form_1xn(instance: ValidatedInstance) -> ScaledResult:
     """Single-row limit: the row of column targets, whatever the entries."""
     _require_shape(instance, 1, None, "closed_form_1xn")
     col_targets = instance.marginals.col_targets
-    with np.errstate(over="ignore"):
-        col_factors = col_targets / instance.matrix.entries[0, :]
-    return _result(col_targets[None, :].copy(), (np.ones(1), col_factors), instance.marginals, "closed_form_1xn")
+    col_factors = _line_factors(col_targets, instance.matrix.entries[0, :])
+    matrix = col_targets[None, :].copy()
+    residual = _largest_abs(*_residuals(matrix, instance.marginals))
+    return _result(matrix, None if col_factors is None else (np.ones(1), col_factors), residual, "closed_form_1xn")
 
 
 def closed_form_nx1(instance: ValidatedInstance) -> ScaledResult:
     """Single-column limit: the column of row targets, the transposed single-row formula."""
     _require_shape(instance, None, 1, "closed_form_nx1")
     row_targets = instance.marginals.row_targets
-    with np.errstate(over="ignore"):
-        row_factors = row_targets / instance.matrix.entries[:, 0]
-    return _result(row_targets[:, None].copy(), (row_factors, np.ones(1)), instance.marginals, "transposed_delegate")
+    row_factors = _line_factors(row_targets, instance.matrix.entries[:, 0])
+    matrix = row_targets[:, None].copy()
+    residual = _largest_abs(*_residuals(matrix, instance.marginals))
+    return _result(matrix, None if row_factors is None else (row_factors, np.ones(1)), residual, "transposed_delegate")
 
 
 def _ratio_product(numerators, denominators, exponent: int = 0) -> float:
     """``2**exponent * prod(numerators) / prod(denominators)``: exponents add exactly, mantissas round."""
-    tops, bottoms = [math.frexp(x) for x in numerators], [math.frexp(x) for x in denominators]
-    mantissa = math.prod(m for m, _ in tops) / math.prod(m for m, _ in bottoms)
+    top = bottom = 1.0
+    for x in numerators:
+        mantissa, power = math.frexp(x)
+        top, exponent = top * mantissa, exponent + power
+    for x in denominators:
+        mantissa, power = math.frexp(x)
+        bottom, exponent = bottom * mantissa, exponent - power
     try:
-        return math.ldexp(mantissa, exponent + sum(e for _, e in tops) - sum(e for _, e in bottoms))
+        return math.ldexp(top / bottom, exponent)
     except OverflowError:
         return math.inf
 
@@ -230,8 +245,11 @@ def _entries_2x2(kappa: float, r1: float, r2: float, c1: float, c2: float) -> li
     return entries
 
 
-def _limit_2x2(kappa: float, marginals: Marginals) -> np.ndarray:
-    return np.array(_entries_2x2(kappa, *marginals.row_targets.tolist(), *marginals.col_targets.tolist())).reshape(2, 2)
+def _limit_2x2(kappa: float, marginals: Marginals) -> tuple[list[float], float]:
+    """The 2x2 limit entries and their largest marginal residual, by the IEEE operations of ``max_abs_residual``."""
+    r1, r2, c1, c2 = *marginals.row_targets.tolist(), *marginals.col_targets.tolist()
+    s11, s12, s21, s22 = entries = _entries_2x2(kappa, r1, r2, c1, c2)
+    return entries, max(abs((s11 + s12) - r1), abs((s21 + s22) - r2), abs((s11 + s21) - c1), abs((s12 + s22) - c2))
 
 
 def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
@@ -245,11 +263,12 @@ def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
     kappa = _ratio_product((a11, a22), (a12, a21))
     if not _MIN_NORMAL <= kappa <= 1.0 / _MIN_NORMAL:
         raise NonPositiveRoot(f"cross-ratio {kappa!r} is outside the normal float range", math.nan, math.nan)
-    matrix = _limit_2x2(kappa, instance.marginals)
-    (s11, s12), (s21, s22) = matrix.tolist()
+    entries, residual = _limit_2x2(kappa, instance.marginals)
+    s11, s12, s21, s22 = entries
     # Factors in the c2 = 1 gauge: s12 = a12 r1, s22 = a22 r2, s21 = a21 r2 c1.
-    factors = [s12 / a12, s22 / a22], [(s21 / s22) * (a22 / a21), 1.0]
-    return _result(matrix, factors, instance.marginals, "closed_form_2x2")
+    r1, r2, c1 = s12 / a12, s22 / a22, (s21 / s22) * (a22 / a21)
+    factors = (np.array([r1, r2]), np.array([c1, 1.0])) if all(0.0 < f < math.inf for f in (r1, r2, c1)) else None
+    return _result(np.array(entries).reshape(2, 2), factors, residual, "closed_form_2x2")
 
 
 def closed_form_2x2_singular(marginals: Marginals) -> ScaledResult:
@@ -261,7 +280,8 @@ def closed_form_2x2_singular(marginals: Marginals) -> ScaledResult:
     if marginals.row_targets.size != 2 or marginals.col_targets.size != 2:
         raise WrongShape("singular closed form requires 2 row and 2 col targets")
     marginals.check_consistent(DEFAULT_CONSISTENCY_TOL)
-    return _result(_limit_2x2(1.0, marginals), None, marginals, "closed_form_2x2_singular")
+    entries, residual = _limit_2x2(1.0, marginals)
+    return _result(np.array(entries).reshape(2, 2), None, residual, "closed_form_2x2_singular")
 
 
 def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:
@@ -270,10 +290,11 @@ def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:
     Raises:
         UnsupportedShape: no published formula covers this shape.
     """
-    if instance.rows == 1:
+    rows, cols = instance.matrix.entries.shape
+    if rows == 1:
         return closed_form_1xn(instance)
-    if instance.cols == 1:
+    if cols == 1:
         return closed_form_nx1(instance)
-    if instance.rows == 2 and instance.cols == 2:
+    if rows == cols == 2:
         return closed_form_2x2(instance)
-    raise UnsupportedShape(f"no closed form for shape {instance.rows}x{instance.cols}; use the iterative solver")
+    raise UnsupportedShape(f"no closed form for shape {rows}x{cols}; use the iterative solver")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +57,17 @@ def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarr
     return arr
 
 
+def _sealed(cls, **fields):
+    """A :class:`ScalingPair` or :class:`ScaledResult` of values its producer made and range-checked:
+    the public constructor's rescan is skipped, and the arrays are only made read-only."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class PositiveMatrix:
     """Dense matrix with strictly positive entries, stored row-major."""
@@ -90,25 +100,22 @@ class Marginals:
     col_targets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_targets", _positive_array(self.row_targets, "row_targets", 1))
-        object.__setattr__(self, "col_targets", _positive_array(self.col_targets, "col_targets", 1))
-
-    @cached_property
-    def _totals(self) -> tuple[float, float, float]:
-        """``(row total, col total, divisor)``, each target total summed once.
-
-        The divisor is 1 unless a total leaves the float range; then both are
-        summed again over the targets divided by a power of two, so finite
-        totals keep their bits and consistency stays decidable.
-        """
-        rows, cols, scale = self.row_targets, self.col_targets, 1.0
+        rows = _positive_array(self.row_targets, "row_targets", 1)
+        cols = _positive_array(self.col_targets, "col_targets", 1)
+        object.__setattr__(self, "row_targets", rows)
+        object.__setattr__(self, "col_targets", cols)
+        # ``(row total, col total, divisor)``, each target total summed once.
+        # The divisor is 1 unless a total leaves the float range; then both are
+        # summed again over the targets divided by a power of two, so finite
+        # totals keep their bits and consistency stays decidable.
+        scale = 1.0
         with np.errstate(over="ignore"):
             row, col = float(np.add.reduce(rows)), float(np.add.reduce(cols))
             if not (row < np.inf and col < np.inf):
                 # n finite targets sum to less than 2**bit_length(n) times the largest float.
                 scale = 2.0 ** (max(rows.size, cols.size).bit_length() + 1)
                 row, col = float(np.add.reduce(rows / scale)), float(np.add.reduce(cols / scale))
-        return row, col, scale
+        object.__setattr__(self, "_totals", (row, col, scale))
 
     def consistency_defect(self) -> float:
         """Absolute gap between the row-target total and the column-target total."""
@@ -157,7 +164,9 @@ class ScaledResult:
 
     ``method`` is one of ``iterative``, ``closed_form_1xn``, ``closed_form_2x2``,
     ``transposed_delegate``, or ``closed_form_2x2_singular``, which only that function
-    returns.  The matrix is taken over, not copied: it is validated in place and made read-only.
+    returns.  The matrix is taken over, not copied, and made read-only.  This constructor
+    checks that it is positive and finite; the solvers check each value where they make it
+    and build their results through ``_sealed``, without this second scan.
     """
 
     matrix: np.ndarray
@@ -244,13 +253,21 @@ def residuals(candidate, marginals: Marginals) -> tuple[np.ndarray, np.ndarray]:
     if grid.ndim != 2:
         raise ShapeMismatch(f"candidate must be 2-dimensional, got shape {grid.shape}")
     check_target_lengths(*grid.shape, marginals.row_targets.size, marginals.col_targets.size)
+    return _residuals(grid, marginals)
+
+
+def _residuals(grid: np.ndarray, marginals: Marginals) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`residuals` of a float matrix whose shape fits the targets, unchecked."""
     row_sums, col_sums = np.add.reduce(grid, axis=1), np.add.reduce(grid, axis=0)
     return row_sums - marginals.row_targets, col_sums - marginals.col_targets
 
 
 def max_abs_residual(candidate, marginals: Marginals) -> float:
     """Largest absolute row or column residual of a candidate matrix."""
-    row_res, col_res = residuals(candidate, marginals)
+    return _largest_abs(*residuals(candidate, marginals))
+
+
+def _largest_abs(row_res: np.ndarray, col_res: np.ndarray) -> float:
     return float(max(np.maximum.reduce(np.abs(row_res)), np.maximum.reduce(np.abs(col_res))))
 
 

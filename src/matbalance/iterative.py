@@ -24,6 +24,12 @@ the iteration stops at the first sweep whose row and column sums are each
 within ``tolerance`` times their own target.  The test is scale-free, as
 the iteration is: multiplying every target by a power of two multiplies
 ``S`` and the row factors by it and leaves the stop sweep unchanged.
+
+Each value is range-checked once, where it is made: the caller's data by
+:func:`~matbalance.core.validate_instance`, the factors by each sweep, ``S``
+once after the last (an entry can leave the float range while every factor
+is in it), factors moved back by a power of two once more, and re-gauged
+factors by :func:`extract_factors`.  Results skip the constructors' rescan.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ from .core import (
     ScaledResult,
     ScalingPair,
     ValidatedInstance,
+    _largest_abs,
+    _residuals,
+    _sealed,
     apply_scaling,
-    max_abs_residual,
 )
 from .errors import NotConverged, check_integer
 
@@ -52,6 +60,10 @@ class FactorsUnavailable(MatrixBalanceError):
 
 class NonPositiveLambda(MatrixBalanceError, ValueError):
     """Gauge parameter must be strictly positive and finite."""
+
+
+class UnrepresentableLimit(MatrixBalanceError):
+    """The factors are in range, but an entry of ``D1 A D2`` is not a positive finite float."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,8 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
             factors repeated; the partial result rides on the exception.
         NonPositiveInput: a scaling factor came out zero, infinite or NaN;
             the sweep number is in the message.
+        UnrepresentableLimit: an entry of the scaled matrix is not a positive
+            finite float, though every factor is.
     """
     if config is None:
         config = IterationConfig()
@@ -165,16 +179,25 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
             previous_worst = worst
 
     if shift:
-        # Give the largest row and column factors one exponent.
+        # Give the largest row and column factors one exponent; the public
+        # constructor checks that the move kept them in range.
         row_shift = (shift + int(np.frexp(np.max(c))[1]) - int(np.frexp(np.max(r))[1])) // 2
-        r, c = np.ldexp(r, row_shift), np.ldexp(c, shift - row_shift)
-    factors = ScalingPair(r, c)
+        factors = ScalingPair(np.ldexp(r, row_shift), np.ldexp(c, shift - row_shift))
+    else:
+        # Copies: r and c are views of the loop's writable buffers.
+        factors = _sealed(ScalingPair, row_factors=r.copy(), col_factors=c.copy())
     matrix = apply_scaling(instance.matrix, factors)
-    result = ScaledResult(
+    if not (np.minimum.reduce(matrix, axis=None) > 0 and np.maximum.reduce(matrix, axis=None) < np.inf):
+        raise UnrepresentableLimit(
+            f"the scaled matrix of sweep {iterations} has an entry outside the positive float range "
+            "(4.9e-324 to 1.8e308), though every scaling factor is in it"
+        )
+    result = _sealed(
+        ScaledResult,
         matrix=matrix,
         factors=factors,
         iterations=iterations,
-        max_marginal_residual=max_abs_residual(matrix, instance.marginals),
+        max_marginal_residual=_largest_abs(*_residuals(matrix, instance.marginals)),
         converged=converged,
         method="iterative",
     )
@@ -201,22 +224,25 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     if result.factors is None:
         raise FactorsUnavailable(f"the {result.method} result carries no scaling factors")
     gauge.check_fits(instance.rows, instance.cols)
-    r = result.factors.row_factors
-    c = result.factors.col_factors
-    # An overflow is raised below as a typed error, so numpy's warning would only repeat it.
-    with np.errstate(over="ignore"):
-        if gauge.kind == "unit_row_factor":
-            side, pivot = "row", r[gauge.index]
-            r, c = r / pivot, c * pivot
-        else:
-            side, pivot = "column", c[gauge.index]
-            r, c = r * pivot, c / pivot
-    try:
-        return ScalingPair(r, c)
-    except NonPositiveInput as exc:
+    r, c = result.factors.row_factors, result.factors.col_factors
+    side = "row" if gauge.kind == "unit_row_factor" else "column"
+    divided, multiplied = (r, c) if side == "row" else (c, r)
+    pivot = float(divided[gauge.index])
+    # Dividing positive finite floats by a pivot >= 1 can only underflow and
+    # multiplying them only overflow, the reverse for a pivot < 1.  Rounding
+    # is monotone, so one extreme of each vector, moved on Python floats,
+    # decides its range exactly, and numpy never overflows.
+    if pivot >= 1.0:
+        low, high = float(np.minimum.reduce(divided)) / pivot, float(np.maximum.reduce(multiplied)) * pivot
+    else:
+        low, high = float(np.minimum.reduce(multiplied)) * pivot, float(np.maximum.reduce(divided)) / pivot
+    if not (low > 0 and high < math.inf):
         raise NonPositiveInput(
             f"pinning {side} factor {gauge.index + 1} to 1 puts the factors outside the positive float range"
-        ) from exc
+        )
+    moved = (divided / pivot, multiplied * pivot)
+    r, c = moved if side == "row" else moved[::-1]
+    return _sealed(ScalingPair, row_factors=r, col_factors=c)
 
 
 def gauge_transform(factors: ScalingPair, lam: float) -> ScalingPair:

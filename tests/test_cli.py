@@ -471,10 +471,12 @@ class TestScaleCommand:
         (s11, s12), (s21, s22) = doc["matrix"]
         assert (s11 / s12) * (s22 / s21) == pytest.approx(1e12, rel=1e-14)
 
-    def test_unrepresentable_cross_ratio_exits_defect_without_traceback(self, capsys, tmp_path):
+    @pytest.mark.parametrize("method", ["auto", "closed-form", "iterative"])
+    def test_unrepresentable_cross_ratio_exits_defect_without_traceback(self, capsys, tmp_path, method):
+        # The limit's off-diagonal entries are below the float range on every route.
         path = tmp_path / "kappa_inf.json"
         path.write_text(json.dumps({"matrix": [[1e300, 1e-300], [1e-300, 1e300]], "row_sums": [1, 1], "col_sums": [1, 1]}))
-        code, out, err = run_main(capsys, ["scale", str(path)])
+        code, out, err = run_main(capsys, ["scale", str(path), "--method", method])
         assert (code, out) == (EXIT_DEFECT, "")
         assert err.startswith("error:") and err.count("\n") == 1
 

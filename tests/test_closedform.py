@@ -10,8 +10,10 @@ from matbalance import (
     Marginals,
     MatrixBalanceError,
     NearSingular,
+    NonPositiveInput,
     NonPositiveRoot,
     PositiveMatrix,
+    ScalingPair,
     UnsupportedShape,
     WrongShape,
     apply_scaling,
@@ -577,3 +579,55 @@ class TestAdversarialMagnitudes:
             warnings.simplefilter("error")
             result = closed_form_dispatch(make_instance(entries, rows, cols))
         assert_near_limit(result.matrix, decimal_limit(entries, rows, cols), 1e-14)
+
+
+def _formula_factors(instance, matrix):
+    """The factors a closed form computes for its limit, whether or not it attaches them."""
+    a = instance.matrix.entries
+    with np.errstate(over="ignore"):
+        if instance.rows == 1:
+            return np.ones(1), instance.marginals.col_targets / a[0]
+        if instance.cols == 1:
+            return instance.marginals.row_targets / a[:, 0], np.ones(1)
+    (s11, s12), (s21, s22) = matrix.tolist()
+    (a11, a12), (a21, a22) = a.tolist()
+    return [s12 / a12, s22 / a22], [(s21 / s22) * (a22 / a21), 1.0]
+
+
+class TestCheckedWhereMade:
+    """Closed forms skip the public constructors' scans: what they report must equal what those give."""
+
+    def _draws(self):
+        rng = np.random.default_rng(61)
+        for k in range(200):  # 1xn, nx1, and generic, near-singular and singular (kappa = 1) 2x2
+            yield _draw(rng, k)
+        for _ in range(400):  # the magnitudes of TestAdversarialMagnitudes
+            entries = 10.0 ** rng.uniform(-150, 150, (2, 2))
+            rows = 10.0 ** rng.uniform(-300, 300, 2)
+            yield entries, rows, rows.copy() if rng.uniform() < 0.5 else rows[::-1].copy()
+        for k in range(100):  # single rows and columns, some with factors past the float range
+            n = 1 + k % 6
+            entries = 10.0 ** rng.uniform(-320, 300, n)
+            targets = 10.0 ** rng.uniform(-300, 300, n)
+            total = np.array([targets.sum()])
+            yield (entries[None, :], total, targets) if k % 2 else (entries[:, None], targets, total)
+
+    def test_residual_and_factors_match_the_public_checks(self):
+        attached = unattached = 0
+        for entries, rows, cols in self._draws():
+            instance = make_instance(entries, rows, cols)
+            try:
+                result = closed_form_dispatch(instance)
+            except MatrixBalanceError:
+                continue
+            assert result.max_marginal_residual == max_abs_residual(result.matrix, instance.marginals)
+            try:
+                want = ScalingPair(*_formula_factors(instance, result.matrix))
+            except NonPositiveInput:
+                assert result.factors is None
+                unattached += 1
+                continue
+            np.testing.assert_array_equal(result.factors.row_factors, want.row_factors)
+            np.testing.assert_array_equal(result.factors.col_factors, want.col_factors)
+            attached += 1
+        assert attached >= 300 and unattached >= 50

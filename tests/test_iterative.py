@@ -15,6 +15,8 @@ from matbalance import (
     PositiveMatrix,
     ScaledResult,
     ScalingPair,
+    UnrepresentableLimit,
+    UnsupportedShape,
     apply_scaling,
     closed_form_2x2_singular,
     closed_form_dispatch,
@@ -161,6 +163,14 @@ class TestSinkhornIterate:
         assert not partial.converged
         assert partial.iterations == 2
         assert partial.matrix.shape == (2, 2)
+
+    def test_limit_past_the_float_range_is_typed(self):
+        # The factors stay in range, but the off-diagonal entries of the
+        # limit underflow to 0: a defect of the float route, not bad input.
+        inst = unit_2x2([[1e300, 1e-300], [1e-300, 1e300]])
+        with pytest.raises(UnrepresentableLimit, match=r"positive float range \(4\.9e-324 to 1\.8e308\)") as err:
+            sinkhorn_iterate(inst)
+        assert not isinstance(err.value, ValueError)
 
     def test_not_converged_message_reports_finite_metric(self):
         cfg = IterationConfig(max_iterations=2)
@@ -549,6 +559,48 @@ class TestExtractFactors:
         with pytest.raises(NonPositiveInput, match=f"^pinning {side} factor 1 to 1 puts the factors outside"):
             extract_factors(inst, result, gauge)
 
+    def test_range_test_agrees_with_the_moved_factors(self):
+        # Factors 10^U(-300, 300) apart: the extremes decide the range exactly,
+        # for pivots above and below 1, and a pair in range is moved bit for bit.
+        rng = np.random.default_rng(67)
+        inst = validate_instance(PositiveMatrix(np.ones((3, 4))), Marginals(np.full(3, 4.0), np.full(4, 3.0)))
+        outcomes = set()
+        for _ in range(300):
+            factors = ScalingPair(10.0 ** rng.uniform(-300, 300, 3), 10.0 ** rng.uniform(-300, 300, 4))
+            result = ScaledResult(np.ones((3, 4)), factors, 1, 0.0, True, "iterative")
+            r, c = factors.row_factors, factors.col_factors
+            gauges = GaugeFix("unit_row_factor", int(rng.integers(3))), GaugeFix("unit_col_factor", int(rng.integers(4)))
+            for gauge in gauges:
+                with np.errstate(over="ignore", under="ignore"):
+                    if gauge.kind == "unit_row_factor":
+                        want = r / r[gauge.index], c * r[gauge.index]
+                    else:
+                        want = r * c[gauge.index], c / c[gauge.index]
+                fits = all(np.all((v > 0) & (v < np.inf)) for v in want)
+                try:
+                    pair = extract_factors(inst, result, gauge)
+                except NonPositiveInput:
+                    assert not fits
+                    outcomes.add((gauge.kind, False))
+                    continue
+                assert fits
+                assert pair.row_factors.tobytes() == want[0].tobytes()
+                assert pair.col_factors.tobytes() == want[1].tobytes()
+                outcomes.add((gauge.kind, True))
+        assert len(outcomes) == 4
+
+    def test_subnormal_3x3_pinning_the_last_column_is_typed(self):
+        # The benchmark's known fault: the auto route on the generic 3x3 at
+        # 1e-320 solves, and pinning column factor 3 then leaves the range.
+        inst = validate_instance(PositiveMatrix(_GENERIC_3X3 * 1e-320), Marginals(np.ones(3), np.ones(3)))
+        with pytest.raises(UnsupportedShape):
+            closed_form_dispatch(inst)
+        result = sinkhorn_iterate(inst)
+        with pytest.raises(NonPositiveInput) as err:
+            extract_factors(inst, result, GaugeFix("unit_col_factor", 2))
+        assert type(err.value) is NonPositiveInput
+        assert str(err.value) == "pinning column factor 3 to 1 puts the factors outside the positive float range"
+
     def test_gauge_index_out_of_range(self):
         inst = unit_2x2([[1, 2], [3, 4]])
         result = sinkhorn_iterate(inst)
@@ -584,3 +636,41 @@ class TestGaugeTransform:
     def test_rejects_bad_lambda(self, lam):
         with pytest.raises(NonPositiveLambda):
             gauge_transform(ScalingPair([1], [1]), lam)
+
+
+def assert_sealed(*arrays):
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+        assert np.all(array > 0) and np.all(np.isfinite(array))
+
+
+class TestPackageMadeValuesAreSealed:
+    """Every matrix and factor array the package returns is read-only, positive and finite."""
+
+    @pytest.mark.parametrize("entries, targets", [
+        ([[1.0, 2.0, 3.0]], Marginals([6.0], [1.0, 2.0, 3.0])),
+        ([[1.0], [2.0], [3.0]], Marginals([1.0, 2.0, 3.0], [6.0])),
+        ([[1.0, 2.0], [3.0, 4.0]], Marginals([1.0, 2.0], [1.5, 1.5])),
+    ], ids=["1xn", "nx1", "2x2"])
+    def test_closed_forms(self, entries, targets):
+        result = closed_form_dispatch(validate_instance(PositiveMatrix(entries), targets))
+        assert_sealed(result.matrix, result.factors.row_factors, result.factors.col_factors)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e307], ids=["unmoved", "shift branch"])
+    def test_iterative_results_and_their_gauges(self, scale):
+        inst = validate_instance(PositiveMatrix(_GENERIC_3X3 * scale), _TARGETS_3X3)
+        result = sinkhorn_iterate(inst)
+        assert_sealed(result.matrix, result.factors.row_factors, result.factors.col_factors)
+        for gauge in (GaugeFix("unit_row_factor", 1), GaugeFix("unit_col_factor", 2)):
+            pair = extract_factors(inst, result, gauge)
+            assert_sealed(pair.row_factors, pair.col_factors)
+        pair = gauge_transform(result.factors, 3.0)
+        assert_sealed(pair.row_factors, pair.col_factors)
+
+    def test_not_converged_partial_result(self):
+        with pytest.raises(NotConverged) as err:
+            sinkhorn_iterate(unit_2x2([[1, 1000], [1, 1]]), IterationConfig(max_iterations=2))
+        partial = err.value.result
+        assert_sealed(partial.matrix, partial.factors.row_factors, partial.factors.col_factors)

@@ -35,7 +35,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 # Every name the package exported before its namespace became lazy, with
 # the module that defined it then, less the 2x2 singularity threshold, which
-# went when kappa = 1 became an ordinary input of the 2x2 closed form.
+# went when kappa = 1 became an ordinary input of the 2x2 closed form, plus
+# UnrepresentableLimit, the iterative route's typed error for a limit entry
+# past the float range.
 EXPORTS = {
     "core": (
         "DEFAULT_CONSISTENCY_TOL", "GaugeFix", "InconsistentMarginals", "Marginals", "MatrixBalanceError",
@@ -43,8 +45,8 @@ EXPORTS = {
         "apply_scaling", "default_gauge", "max_abs_residual", "residuals", "transpose_instance", "validate_instance",
     ),
     "iterative": (
-        "FactorsUnavailable", "IterationConfig", "NonPositiveLambda", "NotConverged", "extract_factors",
-        "gauge_transform", "sinkhorn_iterate",
+        "FactorsUnavailable", "IterationConfig", "NonPositiveLambda", "NotConverged", "UnrepresentableLimit",
+        "extract_factors", "gauge_transform", "sinkhorn_iterate",
     ),
     "closedform": (
         "NearSingular", "NegativeDiscriminant", "NonPositiveRoot", "QuadraticData", "UnsupportedShape",
