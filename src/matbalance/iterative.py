@@ -28,8 +28,8 @@ the iteration is: multiplying every target by a power of two multiplies
 Each value is range-checked once, where it is made: the caller's data by
 :func:`~matbalance.core.validate_instance`, the factors by each sweep, ``S``
 once after the last (an entry can leave the float range while every factor
-is in it), factors moved back by a power of two once more, and re-gauged
-factors by :func:`extract_factors`.  Results skip the constructors' rescan.
+is in it), and moved factors by :func:`extract_factors` and
+:func:`gauge_transform`.  Results skip the constructors' rescan.
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
 
     Returns a converged :class:`~matbalance.core.ScaledResult` whose factors
     reproduce its matrix through :func:`~matbalance.core.apply_scaling`
-    exactly.
+    exactly.  The sweeps start from ``c = 1``, or from ``c = 2**k`` when a
+    row sum of ``A 1`` leaves the normal range or, as sweep 2, when sweep 1
+    from ``c = 1`` puts a factor outside the float range.
 
     Raises:
         NotConverged: the iteration budget ran out first, or the column
@@ -131,22 +133,18 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     # typed error, so numpy's own warnings would only repeat it, untyped.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.dot(entries, c, out=a_c)
-        # Row sums below the normal range, or past the float range, would
-        # push a row factor out of range at sweep 1.  The sweeps then run on
-        # A times the power of two 2**shift that brings its largest entry
-        # near 1, and the factors take 2**shift back at the end.  Only a move
-        # up helps small sums, and only a move down large ones; any other
-        # move would round subnormal entries for nothing.
-        shift = 0
-        low = not np.minimum.reduce(a_c) >= 2.0**-1022
-        if low or not np.maximum.reduce(a_c) < np.inf:
-            move = -int(np.frexp(np.max(entries))[1])
-            if (move > 0) == low:
-                shift = move
-                entries = np.ldexp(entries, shift)
-                np.dot(entries, c, out=a_c)
+        # The sweep from c = 2**k: 1 if row sums out of the normal range would lose digits or overflow.
+        start = 0 if np.minimum.reduce(a_c) >= 2.0**-1022 and np.maximum.reduce(a_c) < np.inf else 1
         entries_t = entries.T
         for iterations in range(1, config.max_iterations + 1):
+            if iterations == start:
+                # S(D1 A D2) = S(A): the start cannot change the limit.  For row maxima 2**e and targets
+                # 2**t, the start 2**k, row sums 2**(e + k), row factors 2**(t - e - k) and products a_ij r_i
+                # up to 2**(t - k) are normal for k within ~1021 of 0, -e, t - e and t: take their midpoint.
+                e, t = np.frexp(np.maximum.reduce(entries, axis=1))[1], np.frexp(row_targets)[1]
+                exponents = np.concatenate(([0], -e, t - e, t))
+                c.fill(np.ldexp(1.0, (int(np.max(exponents)) + int(np.min(exponents))) // 2))
+                np.dot(entries, c, out=a_c)
             np.divide(row_targets, a_c, out=r)
             np.dot(entries_t, r, out=at_r)
             np.divide(col_targets, at_r, out=c)
@@ -162,10 +160,14 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
             # An infinite factor makes its residual inf or NaN, so the
             # largest factor is read only when the worst residual is not finite.
             if not (np.minimum.reduce(stacked) > 0 and (worst < np.inf or np.maximum.reduce(stacked) < np.inf)):
-                raise NonPositiveInput(
-                    f"scaling factors left the positive float range at sweep {iterations}: "
-                    "the matrix or target magnitudes exceed double precision"
-                )
+                # Only sweep 1 from c = 1 moves to c = 2**k, and only if the budget has a sweep 2.
+                if start or iterations > 1 or iterations == config.max_iterations:
+                    raise NonPositiveInput(
+                        f"scaling factors left the positive float range at sweep {iterations}: "
+                        "the matrix or target magnitudes exceed double precision"
+                    )
+                start = 2
+                continue
             if worst <= 0:
                 converged = True
                 break
@@ -178,14 +180,8 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
                 held = c.copy()
             previous_worst = worst
 
-    if shift:
-        # Give the largest row and column factors one exponent; the public
-        # constructor checks that the move kept them in range.
-        row_shift = (shift + int(np.frexp(np.max(c))[1]) - int(np.frexp(np.max(r))[1])) // 2
-        factors = ScalingPair(np.ldexp(r, row_shift), np.ldexp(c, shift - row_shift))
-    else:
-        # Copies: r and c are views of the loop's writable buffers.
-        factors = _sealed(ScalingPair, row_factors=r.copy(), col_factors=c.copy())
+    # Copies: r and c are views of the loop's writable buffers.
+    factors = _sealed(ScalingPair, row_factors=r.copy(), col_factors=c.copy())
     matrix = apply_scaling(instance.matrix, factors)
     if not (np.minimum.reduce(matrix, axis=None) > 0 and np.maximum.reduce(matrix, axis=None) < np.inf):
         raise UnrepresentableLimit(
@@ -228,6 +224,21 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     side = "row" if gauge.kind == "unit_row_factor" else "column"
     divided, multiplied = (r, c) if side == "row" else (c, r)
     pivot = float(divided[gauge.index])
+    moved = _moved(divided, multiplied, pivot, f"pinning {side} factor {gauge.index + 1} to 1")
+    r, c = moved if side == "row" else moved[::-1]
+    return _sealed(ScalingPair, row_factors=r, col_factors=c)
+
+
+def gauge_transform(factors: ScalingPair, lam: float) -> ScalingPair:
+    """Map ``(r, c)`` to ``(lam * r, c / lam)``, the same scaled matrix; NonPositiveInput past the float range."""
+    if not (np.isfinite(lam) and lam > 0):
+        raise NonPositiveLambda(f"lambda must be a positive finite real, got {lam!r}")
+    c, r = _moved(factors.col_factors, factors.row_factors, float(lam), f"lam {lam!r}")
+    return _sealed(ScalingPair, row_factors=r, col_factors=c)
+
+
+def _moved(divided: np.ndarray, multiplied: np.ndarray, pivot: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(divided / pivot, multiplied * pivot)``, or NonPositiveInput saying that ``what`` leaves the float range."""
     # Dividing positive finite floats by a pivot >= 1 can only underflow and
     # multiplying them only overflow, the reverse for a pivot < 1.  Rounding
     # is monotone, so one extreme of each vector, moved on Python floats,
@@ -237,16 +248,5 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     else:
         low, high = float(np.minimum.reduce(multiplied)) * pivot, float(np.maximum.reduce(divided)) / pivot
     if not (low > 0 and high < math.inf):
-        raise NonPositiveInput(
-            f"pinning {side} factor {gauge.index + 1} to 1 puts the factors outside the positive float range"
-        )
-    moved = (divided / pivot, multiplied * pivot)
-    r, c = moved if side == "row" else moved[::-1]
-    return _sealed(ScalingPair, row_factors=r, col_factors=c)
-
-
-def gauge_transform(factors: ScalingPair, lam: float) -> ScalingPair:
-    """Map ``(r, c)`` to ``(lam * r, c / lam)``; the scaled matrix is unchanged."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise NonPositiveLambda(f"lambda must be a positive finite real, got {lam!r}")
-    return ScalingPair(lam * factors.row_factors, factors.col_factors / lam)
+        raise NonPositiveInput(f"{what} puts the factors outside the positive float range")
+    return divided / pivot, multiplied * pivot

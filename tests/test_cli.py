@@ -446,6 +446,18 @@ class TestScaleCommand:
         assert doc["method"] == "closed_form_2x2"
         np.testing.assert_allclose(doc["matrix"], nathanson_limit([[1, 2], [3, 4]]), rtol=1e-15, atol=0)
 
+    def test_subnormal_row_beside_a_normal_row_gives_the_limit(self, capsys, tmp_path):
+        # The first row sum is subnormal while the largest entry is near 1; the
+        # same matrix with that row moved up by 2**1062 has the same limit.
+        path = tmp_path / "rows.csv"
+        path.write_text("1e-320,3e-320,2e-320\n1,2,0.5\n")
+        argv = ["scale", str(path), "--method", "iterative", "--rows", "1,1", "--cols", "2/3,2/3,2/3"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        moved = [np.ldexp([1e-320, 3e-320, 2e-320], 1062), [1.0, 2.0, 0.5]]
+        want = sinkhorn_iterate(validate_instance(PositiveMatrix(moved), Marginals([1, 1], [2 / 3] * 3))).matrix
+        np.testing.assert_allclose(json.loads(out)["matrix"], want, rtol=1e-13, atol=0)
+
     def test_near_singular_at_targets_1e200_gives_the_limit(self, capsys, tmp_path):
         # The gate's discriminant overflows here; the closed form agrees with the iteration.
         path = tmp_path / "near_singular.csv"

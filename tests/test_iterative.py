@@ -36,6 +36,7 @@ _GENERIC_3X3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.0, 9.0]])
 # Rank one: balanced after one sweep.
 _RANK_ONE_3X3 = np.outer([1.0, 2.0, 3.0], [1.0, 1.5, 2.0])
 _TARGETS_3X3 = Marginals([1.0, 2.0, 3.0], [2.5, 2.0, 1.5])
+_PAPER_3X3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
 
 EXTREME_SCALE_CASES = [
     pytest.param(base, scale * base, _TARGETS_3X3, id=f"{name}-{scale:g}")
@@ -210,6 +211,33 @@ class TestSinkhornIterate:
         np.testing.assert_array_equal(moved.matrix, near_one.matrix)
         np.testing.assert_array_equal(apply_scaling(_GENERIC_3X3 * scale, moved.factors), moved.matrix)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entries, targets, limit", [
+        pytest.param(
+            _PAPER_3X3 * scale, Marginals([target_scale] * 3, [target_scale] * 3),
+            target_scale
+            * sinkhorn_iterate(validate_instance(PositiveMatrix(_PAPER_3X3), Marginals([1, 1, 1], [1, 1, 1]))).matrix,
+            id=f"matrix x{scale:g}, targets x{target_scale:g}",
+        )
+        for scale, target_scale in [(1e-300, 1e100), (1e-300, 1e300), (1e300, 1e-300), (1e300, 1e-100)]
+    ] + [
+        # Row factors of 1e308 push a column sum past the float range.
+        pytest.param(
+            np.array([[1.0, 1e-20], [1.0, 1e-20]]), Marginals([1e308, 1e308], [1e308, 1e308]),
+            np.full((2, 2), 5e307), id="column sum overflows",
+        ),
+    ])
+    def test_factors_past_the_float_range_at_sweep_1_restart_from_a_power_of_two(self, entries, targets, limit):
+        # The row sums of A 1 are normal, but sweep 1 from c = 1 puts a factor
+        # past the float range; sweep 2 starts from c = 2**k and reaches the limit.
+        instance = validate_instance(PositiveMatrix(entries), targets)
+        result = sinkhorn_iterate(instance)
+        assert result.converged
+        assert np.max(np.abs(result.matrix - limit) / limit) <= 1e-15
+        # The failed sweep counts, so a budget of one sweep leaves no second start.
+        with pytest.raises(NonPositiveInput, match="at sweep 1:"):
+            sinkhorn_iterate(instance, IterationConfig(max_iterations=1))
+
     def test_stop_metrics_agree_with_plain_scaling(self):
         rng = np.random.default_rng(7)
         entries = np.exp(rng.normal(0.0, 1.0, size=(200, 300)))
@@ -355,6 +383,41 @@ class TestMatrixSideInvariance:
                     continue
                 assert np.max(np.abs(got - limit) / limit) <= bound, (draw, what)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entries, targets", [
+        ([[1e-320, 3e-320, 2e-320], [1.0, 2.0, 0.5]], Marginals([1e-300, 1.0], [0.25, 0.5, 0.25])),
+        ([[1e-320, 3e-320, 2e-320], [1.0, 2.0, 0.5]], Marginals([1.0, 1.0], [2 / 3, 2 / 3, 2 / 3])),
+        ([[1e-320, 3e-320], [1.0, 2.0]], Marginals([1.0, 1.0], [1.0, 1.0])),
+    ], ids=["subnormal row target", "2x3 unit rows", "2x2 unit"])
+    def test_subnormal_row_beside_normal_rows_gives_the_row_moved_limit(self, entries, targets):
+        # Row 0 moved up by 2**1062 is normal, and has the same limit.
+        entries = np.array(entries)
+        moved = np.vstack((np.ldexp(entries[:1], 1062), entries[1:]))
+        config = IterationConfig(tolerance=1e-13)
+        want = sinkhorn_iterate(validate_instance(PositiveMatrix(moved), targets), config).matrix
+        got = sinkhorn_iterate(validate_instance(PositiveMatrix(entries), targets), config).matrix
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_subnormal_row_gives_the_limit_of_the_row_moved_up(self):
+        # Row 0 is scaled by 1e-320 and its target is 10^U(-300, -100); the
+        # limit is that of the same matrix with row 0 moved up by 2**1062.
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(200):
+            rows, cols = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+            entries = rng.uniform(0.2, 5.0, (rows, cols))
+            entries[0] *= 1e-320
+            row_targets = rng.uniform(0.5, 3.0, rows)
+            row_targets[0] = 10.0 ** rng.uniform(-300.0, -100.0)
+            weights = rng.uniform(0.5, 3.0, cols)
+            targets = Marginals(row_targets, row_targets.sum() * weights / weights.sum())
+            moved = np.vstack((np.ldexp(entries[:1], 1062), entries[1:]))
+            want = sinkhorn_iterate(validate_instance(PositiveMatrix(moved), targets), self.TIGHT).matrix
+            got = sinkhorn_iterate(validate_instance(PositiveMatrix(entries), targets), self.TIGHT).matrix
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 1e-13
+
 
 class TestToleranceBelowRounding:
     @pytest.mark.parametrize("case", ["grid 3x5", "grid 12x15", "grid 30x30"])
@@ -468,28 +531,16 @@ class TestStackedLoop:
     @pytest.mark.parametrize(
         "entries, targets",
         [
-            # Row factors of 1e308 push a column sum past the float range, so
-            # a column factor is the first to reach 0.
-            (np.array([[1.0, 1e-20], [1.0, 1e-20]]), Marginals([1e308, 1e308], [1e308, 1e308])),
+            # The row sums are subnormal, and row factors of ~1e300 / 1e-320
+            # leave the float range from every start.
+            (1e-320 * _PAPER_3X3, Marginals([1e300] * 3, [1e300] * 3)),
         ],
-        ids=["column sum overflows"],
+        ids=["row factors past the float range from every start"],
     )
     def test_nonpositive_input_at_the_same_sweep(self, entries, targets):
         instance = validate_instance(PositiveMatrix(entries), targets)
         expected = solve_outcome(separate_halves_loop, instance, IterationConfig())
         assert expected[0][0] is NonPositiveInput
-        assert solve_outcome(sinkhorn_iterate, instance, IterationConfig()) == expected
-
-    def test_subnormal_row_beside_large_entries_runs_unmoved(self):
-        # The first row sum is subnormal, but the largest entry is already
-        # near 1, and a move down would round the subnormal entries; the
-        # sweeps run on the matrix as given.
-        instance = validate_instance(
-            PositiveMatrix([[1e-320, 3e-320, 2e-320], [1.0, 2.0, 0.5]]),
-            Marginals([1e-300, 1.0], [0.25, 0.5, 0.25]),
-        )
-        expected = solve_outcome(separate_halves_loop, instance, IterationConfig())
-        assert expected[0] is None
         assert solve_outcome(sinkhorn_iterate, instance, IterationConfig()) == expected
 
 
@@ -636,6 +687,15 @@ class TestGaugeTransform:
     def test_rejects_bad_lambda(self, lam):
         with pytest.raises(NonPositiveLambda):
             gauge_transform(ScalingPair([1], [1]), lam)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("factors, lam", [
+        (ScalingPair([1e300], [1.0]), 1e10),
+        (ScalingPair([1.0], [1e300]), 1e-10),
+    ], ids=["row factor overflows", "column factor overflows"])
+    def test_lambda_moving_a_factor_past_the_float_range_is_typed(self, factors, lam):
+        with pytest.raises(NonPositiveInput, match=rf"^lam {lam!r} puts the factors outside the positive float range$"):
+            gauge_transform(factors, lam)
 
 
 def assert_sealed(*arrays):
