@@ -59,7 +59,10 @@ def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarr
 
 def _sealed(cls, **fields):
     """A :class:`ScalingPair` or :class:`ScaledResult` of values its producer made and range-checked:
-    the public constructor's rescan is skipped, and the arrays are only made read-only."""
+    the public constructor's rescan is skipped, and the arrays are only made read-only.
+
+    Sealed values never change, so they may be shared: a result and the pair
+    :func:`~matbalance.iterative.extract_factors` returns for it can be one object."""
     for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -94,27 +97,53 @@ class PositiveMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Marginals:
-    """Target row sums and column sums, all strictly positive."""
+    """Target row sums and column sums, all strictly positive.
+
+    The targets are copied once into one read-only array, rows then columns,
+    and ``row_targets`` and ``col_targets`` are views of it, so the caller's
+    arrays can change afterwards without changing these.  One min and one max
+    check both sides; only when a value fails do the per-side checks run, to
+    word the error as each side alone would.
+    """
 
     row_targets: np.ndarray
     col_targets: np.ndarray
 
     def __post_init__(self):
-        rows = _positive_array(self.row_targets, "row_targets", 1)
-        cols = _positive_array(self.col_targets, "col_targets", 1)
+        try:
+            rows = np.asarray(self.row_targets, dtype=float)
+            cols = np.asarray(self.col_targets, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            rows = cols = np.empty(0)
+        shaped = rows.ndim == cols.ndim == 1 and rows.size and cols.size
+        if shaped:
+            targets = np.concatenate((rows, cols))
+            low, high = np.minimum.reduce(targets), float(np.maximum.reduce(targets))
+        if not (shaped and low > 0 and high < math.inf):
+            # Raises: the row side's error, else the column side's.
+            _positive_array(self.row_targets, "row_targets", 1)
+            _positive_array(self.col_targets, "col_targets", 1)
+        targets.setflags(write=False)
+        rows, cols = targets[: rows.size], targets[rows.size :]
         object.__setattr__(self, "row_targets", rows)
         object.__setattr__(self, "col_targets", cols)
+        object.__setattr__(self, "_targets", targets)
         # ``(row total, col total, divisor)``, each target total summed once.
-        # The divisor is 1 unless a total leaves the float range; then both are
-        # summed again over the targets divided by a power of two, so finite
-        # totals keep their bits and consistency stays decidable.
-        scale = 1.0
-        with np.errstate(over="ignore"):
+        # n targets of at most ``high`` cannot sum past 2 n high, so when that
+        # is a float the sums need no overflow guard.  Otherwise the divisor is
+        # 1 unless a total leaves the float range; then both are summed again
+        # over the targets divided by a power of two, so finite totals keep
+        # their bits and consistency stays decidable.
+        scale, longer = 1.0, max(rows.size, cols.size)
+        if high * (2 * longer) < math.inf:
             row, col = float(np.add.reduce(rows)), float(np.add.reduce(cols))
-            if not (row < np.inf and col < np.inf):
-                # n finite targets sum to less than 2**bit_length(n) times the largest float.
-                scale = 2.0 ** (max(rows.size, cols.size).bit_length() + 1)
-                row, col = float(np.add.reduce(rows / scale)), float(np.add.reduce(cols / scale))
+        else:
+            with np.errstate(over="ignore"):
+                row, col = float(np.add.reduce(rows)), float(np.add.reduce(cols))
+                if not (row < np.inf and col < np.inf):
+                    # n finite targets sum to less than 2**bit_length(n) times the largest float.
+                    scale = 2.0 ** (longer.bit_length() + 1)
+                    row, col = float(np.add.reduce(rows / scale)), float(np.add.reduce(cols / scale))
         object.__setattr__(self, "_totals", (row, col, scale))
 
     def consistency_defect(self) -> float:

@@ -29,7 +29,11 @@ Each value is range-checked once, where it is made: the caller's data by
 :func:`~matbalance.core.validate_instance`, the factors by each sweep, ``S``
 once after the last (an entry can leave the float range while every factor
 is in it), and moved factors by :func:`extract_factors` and
-:func:`gauge_transform`.  Results skip the constructors' rescan.
+:func:`gauge_transform`, which pass a pair already in the requested gauge
+through unmoved.  Results skip the constructors' rescan.  The targets come
+from :class:`~matbalance.core.Marginals` as they are stored there, one
+read-only array of rows then columns, so a sweep's gate, residual and stop
+test read them without a copy.
 """
 
 from __future__ import annotations
@@ -116,9 +120,8 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     if config is None:
         config = IterationConfig()
     entries, rows = instance.matrix.entries, instance.rows
-    row_targets = instance.marginals.row_targets
-    col_targets = instance.marginals.col_targets
-    targets = np.concatenate((row_targets, col_targets))
+    marginals = instance.marginals
+    row_targets, col_targets, targets = marginals.row_targets, marginals.col_targets, marginals._targets
     gate = config.tolerance * targets
 
     # The factors (r, c) and the sums (A c, A^T r), each with its halves.
@@ -135,15 +138,11 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
         np.dot(entries, c, out=a_c)
         # The sweep from c = 2**k: 1 if row sums out of the normal range would lose digits or overflow.
         start = 0 if np.minimum.reduce(a_c) >= 2.0**-1022 and np.maximum.reduce(a_c) < np.inf else 1
+        k = _start_exponent(entries, row_targets) if start else 0
         entries_t = entries.T
         for iterations in range(1, config.max_iterations + 1):
             if iterations == start:
-                # S(D1 A D2) = S(A): the start cannot change the limit.  For row maxima 2**e and targets
-                # 2**t, the start 2**k, row sums 2**(e + k), row factors 2**(t - e - k) and products a_ij r_i
-                # up to 2**(t - k) are normal for k within ~1021 of 0, -e, t - e and t: take their midpoint.
-                e, t = np.frexp(np.maximum.reduce(entries, axis=1))[1], np.frexp(row_targets)[1]
-                exponents = np.concatenate(([0], -e, t - e, t))
-                c.fill(np.ldexp(1.0, (int(np.max(exponents)) + int(np.min(exponents))) // 2))
+                c.fill(np.ldexp(1.0, k))
                 np.dot(entries, c, out=a_c)
             np.divide(row_targets, a_c, out=r)
             np.dot(entries_t, r, out=at_r)
@@ -160,8 +159,10 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
             # An infinite factor makes its residual inf or NaN, so the
             # largest factor is read only when the worst residual is not finite.
             if not (np.minimum.reduce(stacked) > 0 and (worst < np.inf or np.maximum.reduce(stacked) < np.inf)):
-                # Only sweep 1 from c = 1 moves to c = 2**k, and only if the budget has a sweep 2.
-                if start or iterations > 1 or iterations == config.max_iterations:
+                # Only sweep 1 from c = 1 moves to c = 2**k, only if the budget has a sweep 2, and only
+                # if k is not 0: from c = 2**0 = 1, sweep 2 would repeat sweep 1 bit for bit.
+                final = start or iterations > 1 or iterations == config.max_iterations
+                if final or not (k := _start_exponent(entries, row_targets)):
                     raise NonPositiveInput(
                         f"scaling factors left the positive float range at sweep {iterations}: "
                         "the matrix or target magnitudes exceed double precision"
@@ -206,12 +207,27 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     return result
 
 
+def _start_exponent(entries: np.ndarray, row_targets: np.ndarray) -> int:
+    """The ``k`` of the start ``c = 2**k`` that keeps a sweep's values normal where any ``k`` does.
+
+    S(D1 A D2) = S(A): the start cannot change the limit.  For row maxima 2**e and targets 2**t, the
+    start 2**k, row sums 2**(e + k), row factors 2**(t - e - k) and products a_ij r_i up to 2**(t - k)
+    are normal for k within ~1021 of 0, -e, t - e and t: take their midpoint.
+    """
+    e, t = np.frexp(np.maximum.reduce(entries, axis=1))[1], np.frexp(row_targets)[1]
+    exponents = np.concatenate(([0], -e, t - e, t))
+    return (int(np.max(exponents)) + int(np.min(exponents))) // 2
+
+
 def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: GaugeFix) -> ScalingPair:
     """Gauge-normalize the tracked factors so the pinned factor equals 1.
 
     The pinned factor is made exactly 1.0 by dividing its own vector through
     by the pivot, so ``apply_scaling`` with the returned pair stays within a
-    few ulps of the result matrix.
+    few ulps of the result matrix.  When the pinned factor is already 1.0, as
+    every closed form makes it under :func:`~matbalance.core.default_gauge`,
+    dividing and multiplying by 1 would change no bit: the result's own
+    immutable pair is returned.
 
     Raises:
         NonPositiveInput: pinning that factor puts another outside the
@@ -224,15 +240,22 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     side = "row" if gauge.kind == "unit_row_factor" else "column"
     divided, multiplied = (r, c) if side == "row" else (c, r)
     pivot = float(divided[gauge.index])
+    if pivot == 1.0:
+        return result.factors
     moved = _moved(divided, multiplied, pivot, f"pinning {side} factor {gauge.index + 1} to 1")
     r, c = moved if side == "row" else moved[::-1]
     return _sealed(ScalingPair, row_factors=r, col_factors=c)
 
 
 def gauge_transform(factors: ScalingPair, lam: float) -> ScalingPair:
-    """Map ``(r, c)`` to ``(lam * r, c / lam)``, the same scaled matrix; NonPositiveInput past the float range."""
+    """Map ``(r, c)`` to ``(lam * r, c / lam)``, the same scaled matrix; NonPositiveInput past the float range.
+
+    At ``lam == 1`` no bit would change, so ``factors`` itself is returned.
+    """
     if not (np.isfinite(lam) and lam > 0):
         raise NonPositiveLambda(f"lambda must be a positive finite real, got {lam!r}")
+    if lam == 1.0:
+        return factors
     c, r = _moved(factors.col_factors, factors.row_factors, float(lam), f"lam {lam!r}")
     return _sealed(ScalingPair, row_factors=r, col_factors=c)
 

@@ -17,6 +17,8 @@ from matbalance import (
     validate_instance,
 )
 
+from matbalance.errors import empty_error, nonpositive_error
+
 from conftest import assert_within_ulps, random_instance
 
 
@@ -150,6 +152,95 @@ class TestOverflowSafeTotals:
             assert marginals.consistency_defect() == abs(row - col)
             for tol in (0.0, 1e-9, 0.5, 2.0):
                 assert marginals.is_consistent(tol) == (abs(row - col) <= tol * max(row, col))
+
+
+def per_side_targets(values, name):
+    """The check each target vector had on its own before the two were joined: shape, size, then values."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1:
+        raise ShapeMismatch(f"{name} must be 1-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise empty_error(name)
+    if not np.all(np.isfinite(arr)):
+        raise NonPositiveInput(f"{name} contains NaN or infinite entries")
+    if not np.all(arr > 0):
+        raise nonpositive_error(name)
+
+
+TARGET_INPUTS = {
+    "good": [1.0, 2.0],
+    "NaN": [1.0, np.nan],
+    "inf": [np.inf, 1.0],
+    "zero": [1.0, 0.0],
+    "negative": [-1.0, 2.0],
+    "negative and NaN": [-1.0, np.nan],
+    "empty": [],
+    "2-D": [[1.0, 2.0]],
+    "0-D": 3.0,
+    "text": ["x", 1.0],
+    "int past the float range": [10**400, 1],
+}
+
+
+class TestOneArrayOfTargets:
+    @pytest.mark.parametrize("convert", [np.array, list, lambda v: np.array(v, dtype=int)], ids=["floats", "list", "ints"])
+    def test_the_sides_are_read_only_views_of_one_copy(self, convert):
+        row_in, col_in = convert([1.0, 2.0, 3.0]), convert([2.0, 4.0])
+        marginals = Marginals(row_in, col_in)
+        joined = marginals.row_targets.base
+        assert joined is not None and marginals.col_targets.base is joined
+        assert joined.dtype == float and joined.tobytes() == np.array([1.0, 2.0, 3.0, 2.0, 4.0]).tobytes()
+        for array in (joined, marginals.row_targets, marginals.col_targets):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+        # The caller's arrays are free to change afterwards.
+        row_in[0], col_in[1] = 7, 9
+        np.testing.assert_array_equal(marginals.row_targets, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(marginals.col_targets, [2.0, 4.0])
+
+    @pytest.mark.parametrize(
+        "row, col",
+        [(row, col) for row in TARGET_INPUTS for col in TARGET_INPUTS if (row, col) != ("good", "good")],
+        ids=lambda name: name,
+    )
+    def test_errors_are_those_of_the_sides_checked_in_turn(self, row, col):
+        rows, cols = TARGET_INPUTS[row], TARGET_INPUTS[col]
+        with pytest.raises(Exception) as expected:
+            per_side_targets(rows, "row_targets")
+            per_side_targets(cols, "col_targets")
+        with pytest.raises(Exception) as err:
+            Marginals(rows, cols)
+        assert type(err.value) is type(expected.value)
+        assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0.3, 1e-300, 2.5], [2.8]),
+        ([4e307, 4e307], [8e307]),
+        ([1e308, 5e307], [1.5e308]),
+        (np.full(3, 5e307), [1e308, 5e307]),
+        ([8.98e307, 8.98e307], [1.796e308]),
+    ], ids=["small", "2 n max in range", "2 n max past the range", "three of 5e307", "totals near the largest float"])
+    def test_totals_are_the_per_side_sums(self, rows, cols):
+        row_total = float(np.add.reduce(np.array(rows, dtype=float)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            col_total = float(np.add.reduce(np.array(cols, dtype=float)))
+            assert Marginals(rows, cols).consistency_defect() == abs(row_total - col_total)
+            with pytest.raises(InconsistentMarginals) as err:
+                Marginals(rows, np.array(cols) / 2).check_consistent(0.0)
+        col_total = float(np.add.reduce(np.array(cols) / 2))
+        assert str(err.value).startswith(f"row targets total {row_total!r} but col targets total {col_total!r} ")
+
+    def test_totals_of_drawn_targets_are_the_per_side_sums(self, rng):
+        for _ in range(300):
+            rows = rng.uniform(0.5, 3.0, int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-300, 306)
+            cols = rng.uniform(0.5, 3.0, int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-300, 306)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                marginals = Marginals(rows, cols)
+                row_total, col_total = float(np.add.reduce(rows)), float(np.add.reduce(cols))
+            assert marginals.consistency_defect() == abs(row_total - col_total)
 
 
 class TestApplyScaling:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -18,8 +19,12 @@ from matbalance import (
     UnrepresentableLimit,
     UnsupportedShape,
     apply_scaling,
+    closed_form_1xn,
+    closed_form_2x2,
     closed_form_2x2_singular,
     closed_form_dispatch,
+    closed_form_nx1,
+    default_gauge,
     extract_factors,
     gauge_transform,
     max_abs_residual,
@@ -237,6 +242,21 @@ class TestSinkhornIterate:
         # The failed sweep counts, so a budget of one sweep leaves no second start.
         with pytest.raises(NonPositiveInput, match="at sweep 1:"):
             sinkhorn_iterate(instance, IterationConfig(max_iterations=1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("config", [IterationConfig(), IterationConfig(max_iterations=1)], ids=["default budget", "one sweep"])
+    def test_a_start_exponent_of_0_raises_at_sweep_1(self, config):
+        # A subnormal column: sweep 1 from c = 1 puts a column factor past the
+        # float range, and the start exponent read from the row maxima and the
+        # targets is 0, so a restart from c = 2**0 would repeat sweep 1.
+        instance = validate_instance(PositiveMatrix([[1.0, 1e-320], [1.0, 1e-320]]), Marginals([1, 1], [1, 1]))
+        with pytest.raises(NonPositiveInput) as err:
+            sinkhorn_iterate(instance, config)
+        assert type(err.value) is NonPositiveInput
+        assert str(err.value) == (
+            "scaling factors left the positive float range at sweep 1: "
+            "the matrix or target magnitudes exceed double precision"
+        )
 
     def test_stop_metrics_agree_with_plain_scaling(self):
         rng = np.random.default_rng(7)
@@ -696,6 +716,53 @@ class TestGaugeTransform:
     def test_lambda_moving_a_factor_past_the_float_range_is_typed(self, factors, lam):
         with pytest.raises(NonPositiveInput, match=rf"^lam {lam!r} puts the factors outside the positive float range$"):
             gauge_transform(factors, lam)
+
+
+def assert_moved_by_1_bytes(pair, factors, side):
+    """``pair`` has the bytes of ``factors`` moved by the pivot 1.0: ``side`` divided by it, the other side multiplied."""
+    r, c = factors.row_factors, factors.col_factors
+    want = (r / 1.0, c * 1.0) if side == "row" else (r * 1.0, c / 1.0)
+    assert pair.row_factors.tobytes() == want[0].tobytes()
+    assert pair.col_factors.tobytes() == want[1].tobytes()
+
+
+class TestGaugePassThrough:
+    """A pair already in the requested gauge comes back as the same ScalingPair object.
+
+    Moving it by a pivot of exactly 1.0 would change no byte, which each test checks.
+    """
+
+    @pytest.mark.parametrize("solve, entries, targets", [
+        (closed_form_1xn, [[1.0, 2.0, 3.0]], Marginals([6.0], [1.0, 2.0, 3.0])),
+        (closed_form_nx1, [[1.0], [2.0], [3.0]], Marginals([1.0, 2.0, 3.0], [6.0])),
+        (closed_form_2x2, [[1.0, 2.0], [3.0, 4.0]], Marginals([1.0, 2.0], [1.5, 1.5])),
+    ], ids=["closed_form_1xn", "closed_form_nx1", "closed_form_2x2"])
+    def test_closed_forms_under_the_default_gauge_return_the_same_pair(self, solve, entries, targets):
+        inst = validate_instance(PositiveMatrix(entries), targets)
+        result = solve(inst)
+        gauge = default_gauge(inst.rows, inst.cols)
+        pair = extract_factors(inst, result, gauge)
+        assert pair is result.factors
+        side = "row" if gauge.kind == "unit_row_factor" else "column"
+        assert_moved_by_1_bytes(pair, result.factors, side)
+
+    def test_a_pair_pinned_once_returns_the_same_pair(self, rng):
+        inst = random_instance(rng, 3, 4)
+        result = sinkhorn_iterate(inst)
+        for gauge, side in ((GaugeFix("unit_row_factor", 1), "row"), (GaugeFix("unit_col_factor", 3), "column")):
+            once = extract_factors(inst, result, gauge)
+            # The iterative factors are not in this gauge, so the first call moves them.
+            assert once is not result.factors
+            twice = extract_factors(inst, dataclasses.replace(result, factors=once), gauge)
+            assert twice is once
+            assert_moved_by_1_bytes(twice, once, side)
+
+    @pytest.mark.parametrize("lam", [1.0, 1, np.float64(1.0)], ids=["float", "int", "numpy float"])
+    def test_gauge_transform_by_1_returns_the_same_pair(self, rng, lam):
+        factors = ScalingPair(rng.uniform(0.1, 10, 3), rng.uniform(0.1, 10, 4))
+        pair = gauge_transform(factors, lam)
+        assert pair is factors
+        assert_moved_by_1_bytes(pair, factors, "column")
 
 
 def assert_sealed(*arrays):
