@@ -247,7 +247,7 @@ def _entries_2x2(kappa: float, r1: float, r2: float, c1: float, c2: float) -> li
 
 def _limit_2x2(kappa: float, marginals: Marginals) -> tuple[list[float], float]:
     """The 2x2 limit entries and their largest marginal residual, by the IEEE operations of ``max_abs_residual``."""
-    r1, r2, c1, c2 = marginals._targets.tolist()
+    r1, r2, c1, c2 = *marginals.row_targets.tolist(), *marginals.col_targets.tolist()
     s11, s12, s21, s22 = entries = _entries_2x2(kappa, r1, r2, c1, c2)
     return entries, max(abs((s11 + s12) - r1), abs((s21 + s22) - r2), abs((s11 + s21) - c1), abs((s12 + s22) - c2))
 

@@ -120,9 +120,12 @@ class Marginals:
             targets = np.concatenate((rows, cols))
             low, high = np.minimum.reduce(targets), float(np.maximum.reduce(targets))
         if not (shaped and low > 0 and high < math.inf):
-            # Raises: the row side's error, else the column side's.
-            _positive_array(self.row_targets, "row_targets", 1)
-            _positive_array(self.col_targets, "col_targets", 1)
+            # The per-side checks word the error: the row side's, else the column side's.
+            # Should both pass, the targets are rebuilt from what they return.
+            rows = _positive_array(self.row_targets, "row_targets", 1)
+            cols = _positive_array(self.col_targets, "col_targets", 1)
+            targets = np.concatenate((rows, cols))
+            high = float(np.maximum.reduce(targets))
         targets.setflags(write=False)
         rows, cols = targets[: rows.size], targets[rows.size :]
         object.__setattr__(self, "row_targets", rows)

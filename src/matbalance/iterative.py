@@ -29,8 +29,8 @@ Each value is range-checked once, where it is made: the caller's data by
 :func:`~matbalance.core.validate_instance`, the factors by each sweep, ``S``
 once after the last (an entry can leave the float range while every factor
 is in it), and moved factors by :func:`extract_factors` and
-:func:`gauge_transform`, which pass a pair already in the requested gauge
-through unmoved.  Results skip the constructors' rescan.  The targets come
+:func:`gauge_transform`; :func:`extract_factors` passes a pair already in
+the requested gauge through unmoved.  Results skip the constructors' rescan.  The targets come
 from :class:`~matbalance.core.Marginals` as they are stored there, one
 read-only array of rows then columns, so a sweep's gate, residual and stop
 test read them without a copy.
@@ -248,14 +248,9 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
 
 
 def gauge_transform(factors: ScalingPair, lam: float) -> ScalingPair:
-    """Map ``(r, c)`` to ``(lam * r, c / lam)``, the same scaled matrix; NonPositiveInput past the float range.
-
-    At ``lam == 1`` no bit would change, so ``factors`` itself is returned.
-    """
+    """Map ``(r, c)`` to ``(lam * r, c / lam)``, the same scaled matrix; NonPositiveInput past the float range."""
     if not (np.isfinite(lam) and lam > 0):
         raise NonPositiveLambda(f"lambda must be a positive finite real, got {lam!r}")
-    if lam == 1.0:
-        return factors
     c, r = _moved(factors.col_factors, factors.row_factors, float(lam), f"lam {lam!r}")
     return _sealed(ScalingPair, row_factors=r, col_factors=c)
 

@@ -727,7 +727,7 @@ def assert_moved_by_1_bytes(pair, factors, side):
 
 
 class TestGaugePassThrough:
-    """A pair already in the requested gauge comes back as the same ScalingPair object.
+    """A pair already in the gauge ``extract_factors`` is asked for comes back as the same ScalingPair object.
 
     Moving it by a pivot of exactly 1.0 would change no byte, which each test checks.
     """
@@ -758,10 +758,11 @@ class TestGaugePassThrough:
             assert_moved_by_1_bytes(twice, once, side)
 
     @pytest.mark.parametrize("lam", [1.0, 1, np.float64(1.0)], ids=["float", "int", "numpy float"])
-    def test_gauge_transform_by_1_returns_the_same_pair(self, rng, lam):
+    def test_gauge_transform_by_1_returns_a_new_pair_of_the_same_bytes(self, rng, lam):
+        # gauge_transform has no pass-through: it moves by 1 into a new pair.
         factors = ScalingPair(rng.uniform(0.1, 10, 3), rng.uniform(0.1, 10, 4))
         pair = gauge_transform(factors, lam)
-        assert pair is factors
+        assert pair is not factors
         assert_moved_by_1_bytes(pair, factors, "column")
 
 
