@@ -37,7 +37,6 @@ _EXPORTS = {
         "validate_instance",
     ),
     "iterative": (
-        "FactorsUnavailable",
         "IterationConfig",
         "NonPositiveLambda",
         "UnrepresentableLimit",

@@ -304,16 +304,13 @@ def _run_scale(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_factors(args: argparse.Namespace) -> tuple[dict, int]:
-    from .iterative import extract_factors, sinkhorn_iterate
+    from .iterative import extract_factors
 
     config = _iteration_config(args)
     gauge = _parse_gauge(args.gauge)
     instance = _read_instance(args)
     gauge = _fit_gauge(gauge, instance.rows, instance.cols)
     result = _solve(args, instance, config)
-    if result.factors is None:
-        # A closed form whose factors leave the float range carries none; rerun iteratively.
-        result = sinkhorn_iterate(instance, config)
     pair = extract_factors(instance, result, gauge)
     doc = _result_document("factors", config, instance, result)
     doc["gauge"] = {"kind": gauge.kind, "index": gauge.index + 1}

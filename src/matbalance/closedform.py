@@ -7,7 +7,7 @@ cross-ratio ``kappa = (a11/a12)(a22/a21)``, taken on exact exponents, and each
 limit entry is the positive root of its own quadratic in ``kappa`` and the
 targets, evaluated where nothing overflows or cancels.  The singular limit
 ``R_i C_j / sum(R)`` is the case ``kappa = 1``, an ordinary input.  Each formula
-attaches its factors only if all are positive finite floats.  :func:`quadratic_data`,
+attaches its factors only if all are normal floats.  :func:`quadratic_data`,
 :func:`r2_roots` and :func:`solve_r2` keep the paper's quadratic for the
 second row factor, which the acceptance gate checks; the dispatch path does not.
 """
@@ -86,7 +86,7 @@ def _require_shape(instance: ValidatedInstance, rows: int | None, cols: int | No
 
 
 def _result(matrix: np.ndarray, factors: tuple | None, residual: float, method: str) -> ScaledResult:
-    """A converged closed-form result of checked entries, with its (row, col) factors if all are in range."""
+    """A converged closed-form result of checked entries, with its (row, col) factors if all are normal."""
     pair = None if factors is None else _sealed(ScalingPair, row_factors=factors[0], col_factors=factors[1])
     return _sealed(
         ScaledResult, matrix=matrix, factors=pair, iterations=0, max_marginal_residual=residual, converged=True,
@@ -95,10 +95,10 @@ def _result(matrix: np.ndarray, factors: tuple | None, residual: float, method: 
 
 
 def _line_factors(targets: np.ndarray, entries: np.ndarray) -> np.ndarray | None:
-    """The factors ``targets / entries`` of a single row or column, or None if one leaves the float range."""
+    """The factors ``targets / entries`` of a single row or column, or None if one is not a normal float."""
     with np.errstate(over="ignore"):
         factors = targets / entries
-    return factors if np.minimum.reduce(factors) > 0 and np.maximum.reduce(factors) < np.inf else None
+    return factors if np.minimum.reduce(factors) >= _MIN_NORMAL and np.maximum.reduce(factors) < np.inf else None
 
 
 def quadratic_data(instance: ValidatedInstance) -> QuadraticData:
@@ -255,7 +255,7 @@ def _limit_2x2(kappa: float, marginals: Marginals) -> tuple[list[float], float]:
 def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
     """2x2 limit from the cross-ratio, singular or not, with factors in the c2 = 1 gauge.
 
-    The factors are left off where one leaves the float range.  Raises
+    The factors are left off where one is not a normal float.  Raises
     :class:`NonPositiveRoot`, not a wrong answer, where the cross-ratio or an entry does.
     """
     _require_shape(instance, 2, 2, "closed_form_2x2")
@@ -267,7 +267,8 @@ def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
     s11, s12, s21, s22 = entries
     # Factors in the c2 = 1 gauge: s12 = a12 r1, s22 = a22 r2, s21 = a21 r2 c1.
     r1, r2, c1 = s12 / a12, s22 / a22, (s21 / s22) * (a22 / a21)
-    factors = (np.array([r1, r2]), np.array([c1, 1.0])) if all(0.0 < f < math.inf for f in (r1, r2, c1)) else None
+    normal = all(_MIN_NORMAL <= f < math.inf for f in (r1, r2, c1))
+    factors = (np.array([r1, r2]), np.array([c1, 1.0])) if normal else None
     return _result(np.array(entries).reshape(2, 2), factors, residual, "closed_form_2x2")
 
 

@@ -30,7 +30,8 @@ Each value is range-checked once, where it is made: the caller's data by
 once after the last (an entry can leave the float range while every factor
 is in it), and moved factors by :func:`extract_factors` and
 :func:`gauge_transform`; :func:`extract_factors` passes a pair already in
-the requested gauge through unmoved.  Results skip the constructors' rescan.  The targets come
+the requested gauge through unmoved, and reads the factors of a result
+that carries none off ``S`` and ``A``.  Results skip the constructors' rescan.  The targets come
 from :class:`~matbalance.core.Marginals` as they are stored there, one
 read-only array of rows then columns, so a sweep's gate, residual and stop
 test read them without a copy.
@@ -56,10 +57,6 @@ from .core import (
     apply_scaling,
 )
 from .errors import NotConverged, check_integer
-
-
-class FactorsUnavailable(MatrixBalanceError):
-    """The result carries no scaling factors: a closed form whose factors leave the float range."""
 
 
 class NonPositiveLambda(MatrixBalanceError, ValueError):
@@ -138,7 +135,7 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
         np.dot(entries, c, out=a_c)
         # The sweep from c = 2**k: 1 if row sums out of the normal range would lose digits or overflow.
         start = 0 if np.minimum.reduce(a_c) >= 2.0**-1022 and np.maximum.reduce(a_c) < np.inf else 1
-        k = _start_exponent(entries, row_targets) if start else 0
+        k = _start_exponent(entries, row_targets, col_targets) if start else 0
         entries_t = entries.T
         for iterations in range(1, config.max_iterations + 1):
             if iterations == start:
@@ -162,7 +159,7 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
                 # Only sweep 1 from c = 1 moves to c = 2**k, only if the budget has a sweep 2, and only
                 # if k is not 0: from c = 2**0 = 1, sweep 2 would repeat sweep 1 bit for bit.
                 final = start or iterations > 1 or iterations == config.max_iterations
-                if final or not (k := _start_exponent(entries, row_targets)):
+                if final or not (k := _start_exponent(entries, row_targets, col_targets)):
                     raise NonPositiveInput(
                         f"scaling factors left the positive float range at sweep {iterations}: "
                         "the matrix or target magnitudes exceed double precision"
@@ -207,42 +204,53 @@ def sinkhorn_iterate(instance: ValidatedInstance, config: IterationConfig | None
     return result
 
 
-def _start_exponent(entries: np.ndarray, row_targets: np.ndarray) -> int:
+def _start_exponent(entries: np.ndarray, row_targets: np.ndarray, col_targets: np.ndarray) -> int:
     """The ``k`` of the start ``c = 2**k`` that keeps a sweep's values normal where any ``k`` does.
 
     S(D1 A D2) = S(A): the start cannot change the limit.  For row maxima 2**e and targets 2**t, the
     start 2**k, row sums 2**(e + k), row factors 2**(t - e - k) and products a_ij r_i up to 2**(t - k)
-    are normal for k within ~1021 of 0, -e, t - e and t: take their midpoint.
+    are normal for k within ~1021 of 0, -e, t - e and t.  Column j's largest product is then about
+    2**(g_j - k), g_j = max_i(exponent(a_ij) + t_i - e_i), so for column targets 2**u its factor
+    2**(u_j - g_j + k) is normal for k within ~1021 of g_j - u_j: take the midpoint of them all.
     """
     e, t = np.frexp(np.maximum.reduce(entries, axis=1))[1], np.frexp(row_targets)[1]
-    exponents = np.concatenate(([0], -e, t - e, t))
+    g = np.max(np.frexp(entries)[1] + (t - e)[:, None], axis=0)
+    exponents = np.concatenate(([0], -e, t - e, t, g - np.frexp(col_targets)[1]))
     return (int(np.max(exponents)) + int(np.min(exponents))) // 2
 
 
 def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: GaugeFix) -> ScalingPair:
-    """Gauge-normalize the tracked factors so the pinned factor equals 1.
+    """The result's factors in the gauge that pins one factor to exactly 1.
 
-    The pinned factor is made exactly 1.0 by dividing its own vector through
-    by the pivot, so ``apply_scaling`` with the returned pair stays within a
-    few ulps of the result matrix.  When the pinned factor is already 1.0, as
-    every closed form makes it under :func:`~matbalance.core.default_gauge`,
-    dividing and multiplying by 1 would change no bit: the result's own
-    immutable pair is returned.
+    Tracked factors are moved: the pinned factor's vector is divided by it and
+    the other multiplied, so ``apply_scaling`` with the pair stays within a few
+    ulps of ``S``; a pair already pinned, as every closed form's is under
+    :func:`~matbalance.core.default_gauge`, is returned as it is.  A result
+    without factors has them read off ``S = D1 A D2``: with column ``p`` pinned
+    and ``q`` the last row, ``r_i = s_ip / a_ip`` and ``c_j = (s_qj / s_qp)
+    (a_qp / a_qj)``, the 2x2 closed form's own operations; a row on the transpose.
 
     Raises:
         NonPositiveInput: pinning that factor puts another outside the
             positive float range.
     """
-    if result.factors is None:
-        raise FactorsUnavailable(f"the {result.method} result carries no scaling factors")
     gauge.check_fits(instance.rows, instance.cols)
-    r, c = result.factors.row_factors, result.factors.col_factors
-    side = "row" if gauge.kind == "unit_row_factor" else "column"
-    divided, multiplied = (r, c) if side == "row" else (c, r)
-    pivot = float(divided[gauge.index])
-    if pivot == 1.0:
-        return result.factors
-    moved = _moved(divided, multiplied, pivot, f"pinning {side} factor {gauge.index + 1} to 1")
+    side, p = "row" if gauge.kind == "unit_row_factor" else "column", gauge.index
+    if result.factors is None:
+        s, a = (m.T if side == "row" else m for m in (result.matrix, instance.matrix.entries))
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = (s[-1] / s[-1, p]) * (a[-1, p] / a[-1]), s[:, p] / a[:, p]
+        if not all(np.minimum.reduce(v) > 0 and np.maximum.reduce(v) < np.inf for v in moved):
+            raise NonPositiveInput(
+                f"pinning {side} factor {p + 1} to 1 puts the factors outside the positive float range"
+            )
+    else:
+        r, c = result.factors.row_factors, result.factors.col_factors
+        divided, multiplied = (r, c) if side == "row" else (c, r)
+        pivot = float(divided[p])
+        if pivot == 1.0:
+            return result.factors
+        moved = _moved(divided, multiplied, pivot, f"pinning {side} factor {p + 1} to 1")
     r, c = moved if side == "row" else moved[::-1]
     return _sealed(ScalingPair, row_factors=r, col_factors=c)
 

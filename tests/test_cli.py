@@ -611,6 +611,35 @@ class TestFactorsCommand:
         rebuilt = r[:, None] * np.array([[2.0, 4.0], [3.0, 6.0]]) * c[None, :]
         np.testing.assert_allclose(rebuilt, doc["matrix"], rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("method", ["auto", "closed-form"])
+    def test_factors_past_the_float_range_are_read_off_the_closed_form(self, capsys, tmp_path, method):
+        # Column factors 1e310 and 1e300 leave the float range, so the closed
+        # form attaches none; pinning column 2 brings them back into it.
+        path = tmp_path / "row.csv"
+        path.write_text("1e-300,1e-290\n")
+        argv = ["factors", str(path), "--rows", "2e10", "--cols", "1e10,1e10", "--gauge", "c,2", "--method", method]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert (doc["method"], doc["iterations"]) == ("closed_form_1xn", 0)
+        assert doc["col_factors"] == [1e10, 1.0]
+
+    def test_a_subnormal_closed_form_factor_does_not_skew_another_gauge(self, capsys, tmp_path):
+        # The c2 = 1 factor r1 is ~4.4e-324, one significant bit as a float;
+        # the r1 = 1 gauge's c1 is s11 / a11, not that factor's rounding moved.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "matrix": [[1.1664760008782134e53, 4.216737633858644e137], [1.094136660865682e-133, 1.324518918656442e137]],
+            "row_sums": [1.7048275848513759, 2.862177479714276],
+            "col_sums": [3.8010373406904385, 0.765967723875213],
+        }))
+        code, out, err = run_main(capsys, ["factors", str(path), "--gauge", "r,1"])
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["method"] == "closed_form_2x2"
+        assert doc["row_factors"][0] == 1.0
+        assert abs(doc["col_factors"][0] - 1.461519639982177e-53) <= 2 * np.spacing(1.461519639982177e-53)
+
 
 class TestCompareCommand:
     def test_gap_below_tolerance(self, capsys, json_doc):

@@ -1,11 +1,11 @@
 import dataclasses
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from matbalance import (
-    FactorsUnavailable,
     GaugeFix,
     IterationConfig,
     Marginals,
@@ -244,12 +244,35 @@ class TestSinkhornIterate:
             sinkhorn_iterate(instance, IterationConfig(max_iterations=1))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("config", [IterationConfig(), IterationConfig(max_iterations=1)], ids=["default budget", "one sweep"])
-    def test_a_start_exponent_of_0_raises_at_sweep_1(self, config):
-        # A subnormal column: sweep 1 from c = 1 puts a column factor past the
-        # float range, and the start exponent read from the row maxima and the
-        # targets is 0, so a restart from c = 2**0 would repeat sweep 1.
-        instance = validate_instance(PositiveMatrix([[1.0, 1e-320], [1.0, 1e-320]]), Marginals([1, 1], [1, 1]))
+    @pytest.mark.parametrize("entries, targets, sweeps", [
+        ([[1.0, 1e-320], [1.0, 1e-320]], Marginals([1, 1], [1, 1]), 2),
+        ([[1.0, 1e-320, 2.0], [3.0, 2e-320, 1.0]], Marginals([1, 2], [1, 1, 1]), 10),
+    ], ids=["2x2", "2x3"])
+    def test_a_subnormal_column_gives_the_limit_of_the_column_moved_up(self, entries, targets, sweeps):
+        # Sweep 1 from c = 1 puts column factor 2 past the float range; the
+        # restart exponent reads the column side too, so sweep 2 starts where
+        # every value is normal.  Each entry of column 2 is an exact multiple
+        # of the subnormal spacing, so moving it up by 2**1062 is exact.
+        instance = validate_instance(PositiveMatrix(entries), targets)
+        assert sinkhorn_iterate(instance).iterations == sweeps
+        moved = np.array(entries)
+        moved[:, 1] = np.ldexp(moved[:, 1], 1062)
+        config = IterationConfig(tolerance=1e-14)
+        limit = sinkhorn_iterate(validate_instance(PositiveMatrix(moved), targets), config).matrix
+        result = sinkhorn_iterate(instance, config)
+        assert np.max(np.abs(result.matrix - limit) / limit) <= 1e-13
+        if len(entries[0]) == 2:  # rank one: 0.5 everywhere
+            np.testing.assert_allclose(sinkhorn_iterate(instance).matrix, 0.5, rtol=1e-15, atol=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("col_targets, config", [
+        ([1, 1], IterationConfig(max_iterations=1)),
+        # Column targets 2**2124 apart: no start keeps every value normal, and
+        # the restart exponent is 0, so a restart from c = 2**0 would repeat sweep 1.
+        ([5e-321, 2], IterationConfig()),
+    ], ids=["one sweep", "start exponent 0"])
+    def test_no_restart_raises_at_sweep_1(self, col_targets, config):
+        instance = validate_instance(PositiveMatrix([[1.0, 1e-320], [1.0, 1e-320]]), Marginals([1, 1], col_targets))
         with pytest.raises(NonPositiveInput) as err:
             sinkhorn_iterate(instance, config)
         assert type(err.value) is NonPositiveInput
@@ -609,13 +632,23 @@ class TestExtractFactors:
             pair = extract_factors(inst, result, GaugeFix("unit_col_factor", 2))
             assert_within_ulps(apply_scaling(inst.matrix, pair), result.matrix, 8)
 
-    def test_requires_tracked_factors(self):
-        # The singular 2x2 closed form on the targets alone returns the limit without factors.
-        inst = unit_2x2([[2, 4], [3, 6]])
+    @pytest.mark.parametrize("entries, rows, cols", [
+        ([[2, 4], [3, 6]], [1, 1], [1, 1]),
+        ([[2, 4], [3, 6]], [0.5, 2.5], [1.75, 1.25]),
+        ([[2.0**-100, 2.0**-30], [2.0**-70, 1.0]], [1e20, 3.0], [2.0, 1e20]),
+    ])
+    def test_singular_results_get_a_pair_that_rebuilds_s(self, entries, rows, cols):
+        # The singular 2x2 closed form works on the targets alone and returns
+        # the limit without factors; they are read off S and A.
+        inst = validate_instance(PositiveMatrix(entries), Marginals(rows, cols))
         result = closed_form_2x2_singular(inst.marginals)
         assert result.method == "closed_form_2x2_singular" and result.factors is None
-        with pytest.raises(FactorsUnavailable, match="closed_form_2x2_singular"):
-            extract_factors(inst, result, GaugeFix("unit_col_factor", 1))
+        for kind in ("unit_row_factor", "unit_col_factor"):
+            for index in (0, 1):
+                pair = extract_factors(inst, result, GaugeFix(kind, index))
+                pinned = pair.row_factors if kind == "unit_row_factor" else pair.col_factors
+                assert pinned[index] == 1.0
+                assert_within_ulps(apply_scaling(inst.matrix, pair), result.matrix, 8)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gauge, side", [
@@ -679,6 +712,95 @@ class TestExtractFactors:
 
         with pytest.raises(ShapeMismatch):
             extract_factors(inst, result, GaugeFix("unit_col_factor", 5))
+
+
+# A 2x2 whose c2 = 1 factor r1 is ~4.4e-324: as a subnormal it keeps one
+# significant bit, so the closed form attaches no factors, and each gauge's
+# factors come from S and A directly.
+SUBNORMAL_FACTOR_2X2 = (
+    [[1.1664760008782134e53, 4.216737633858644e137], [1.094136660865682e-133, 1.324518918656442e137]],
+    [1.7048275848513759, 2.862177479714276],
+    [3.8010373406904385, 0.765967723875213],
+)
+
+
+def _exact_read_off(s, a, gauge):
+    """The factors of ``S = D1 A D2`` in ``gauge``, in exact arithmetic on the float data."""
+    s, a = ([[Fraction(x) for x in row] for row in m] for m in (s, a))
+    if gauge.kind == "unit_row_factor":
+        s, a = ([list(col) for col in zip(*m)] for m in (s, a))
+    p = gauge.index
+    pinned = [(s[-1][j] / s[-1][p]) * (a[-1][p] / a[-1][j]) for j in range(len(s[0]))]
+    other = [s[i][p] / a[i][p] for i in range(len(s))]
+    return (other, pinned) if gauge.kind == "unit_col_factor" else (pinned, other)
+
+
+class TestReadOff:
+    """A result without factors gets them from S and A, by the closed forms' own operations."""
+
+    @staticmethod
+    def _draws():
+        rng = np.random.default_rng(29)
+        for k in range(600):
+            n = 1 + k % 6
+            shape = [(1, n), (n, 1), (2, 2)][k % 3]
+            entries = rng.uniform(0.2, 5.0, shape) if k % 2 else 10.0 ** rng.uniform(-150, 150, shape)
+            yield validate_instance(PositiveMatrix(entries), random_marginals(rng, *shape))
+
+    def test_default_gauge_equals_the_closed_forms_pair_bit_for_bit(self):
+        compared = 0
+        for inst in self._draws():
+            try:
+                result = closed_form_dispatch(inst)
+            except MatrixBalanceError:
+                continue
+            if result.factors is None:
+                continue
+            pair = extract_factors(inst, dataclasses.replace(result, factors=None), default_gauge(inst.rows, inst.cols))
+            assert pair.row_factors.tobytes() == result.factors.row_factors.tobytes()
+            assert pair.col_factors.tobytes() == result.factors.col_factors.tobytes()
+            compared += 1
+        assert compared >= 550
+
+    def test_every_gauge_rebuilds_s_within_8_ulps(self):
+        # apply_scaling forms r_i a_ij first, so only where that product and
+        # every factor are normal does it keep full precision.
+        checked = 0
+        for inst in self._draws():
+            try:
+                bare = dataclasses.replace(closed_form_dispatch(inst), factors=None)
+            except MatrixBalanceError:
+                continue
+            gauges = [GaugeFix("unit_row_factor", i) for i in range(inst.rows)]
+            for gauge in gauges + [GaugeFix("unit_col_factor", j) for j in range(inst.cols)]:
+                try:
+                    pair = extract_factors(inst, bare, gauge)
+                except NonPositiveInput:
+                    continue
+                with np.errstate(over="ignore"):
+                    partial = pair.row_factors[:, None] * inst.matrix.entries
+                if not (min(pair.row_factors.min(), pair.col_factors.min(), partial.min()) >= np.finfo(float).tiny
+                        and partial.max() < np.inf):
+                    continue
+                assert_within_ulps(apply_scaling(inst.matrix, pair), bare.matrix, 8)
+                checked += 1
+        assert checked >= 2000
+
+    @pytest.mark.parametrize("kind", ["unit_row_factor", "unit_col_factor"])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_a_subnormal_c2_gauge_factor_leaves_every_gauge_within_2_ulps(self, kind, index):
+        # Moving the attached pair by r1 = 5e-324, one significant bit, put c1
+        # 12% off in the r1 = 1 gauge; read off S and A, each factor is near exact.
+        entries, rows, cols = SUBNORMAL_FACTOR_2X2
+        gauge = GaugeFix(kind, index)
+        inst = validate_instance(PositiveMatrix(entries), Marginals(rows, cols))
+        result = closed_form_dispatch(inst)
+        assert result.factors is None
+        pair = extract_factors(inst, result, gauge)
+        exact = _exact_read_off(result.matrix.tolist(), entries, gauge)
+        for got, want in zip((pair.row_factors, pair.col_factors), exact):
+            for value, v in zip(got.tolist(), want):
+                assert abs(Fraction(value) - v) <= 2 * Fraction(float(np.spacing(float(v))))
 
 
 class TestGaugeTransform:

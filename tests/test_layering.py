@@ -35,7 +35,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 # Every name the package exported before its namespace became lazy, with
 # the module that defined it then, less the 2x2 singularity threshold, which
-# went when kappa = 1 became an ordinary input of the 2x2 closed form, plus
+# went when kappa = 1 became an ordinary input of the 2x2 closed form, and
+# FactorsUnavailable, which went when extract_factors began reading the
+# factors of a result that carries none off S and A, plus
 # UnrepresentableLimit, the iterative route's typed error for a limit entry
 # past the float range.
 EXPORTS = {
@@ -45,7 +47,7 @@ EXPORTS = {
         "apply_scaling", "default_gauge", "max_abs_residual", "residuals", "transpose_instance", "validate_instance",
     ),
     "iterative": (
-        "FactorsUnavailable", "IterationConfig", "NonPositiveLambda", "NotConverged", "UnrepresentableLimit",
+        "IterationConfig", "NonPositiveLambda", "NotConverged", "UnrepresentableLimit",
         "extract_factors", "gauge_transform", "sinkhorn_iterate",
     ),
     "closedform": (
