@@ -7,7 +7,9 @@ cross-ratio ``kappa = (a11/a12)(a22/a21)``, taken on exact exponents, and each
 limit entry is the positive root of its own quadratic in ``kappa`` and the
 targets, evaluated where nothing overflows or cancels.  The singular limit
 ``R_i C_j / sum(R)`` is the case ``kappa = 1``, an ordinary input.  Each formula
-attaches its factors only if all are normal floats.  :func:`quadratic_data`,
+reads its factors off the limit and the matrix, as
+:func:`~matbalance.iterative.extract_factors` does for a result without them,
+and attaches them only if all are normal floats.  :func:`quadratic_data`,
 :func:`r2_roots` and :func:`solve_r2` keep the paper's quadratic for the
 second row factor, which the acceptance gate checks; the dispatch path does not.
 """
@@ -28,6 +30,7 @@ from .core import (
     ScalingPair,
     ValidatedInstance,
     _largest_abs,
+    _read_off,
     _residuals,
     _sealed,
 )
@@ -87,18 +90,12 @@ def _require_shape(instance: ValidatedInstance, rows: int | None, cols: int | No
 
 def _result(matrix: np.ndarray, factors: tuple | None, residual: float, method: str) -> ScaledResult:
     """A converged closed-form result of checked entries, with its (row, col) factors if all are normal."""
-    pair = None if factors is None else _sealed(ScalingPair, row_factors=factors[0], col_factors=factors[1])
+    normal = factors is not None and all(_MIN_NORMAL <= f < math.inf for v in factors for f in v)
+    pair = _sealed(ScalingPair, row_factors=np.array(factors[0]), col_factors=np.array(factors[1])) if normal else None
     return _sealed(
         ScaledResult, matrix=matrix, factors=pair, iterations=0, max_marginal_residual=residual, converged=True,
         method=method,
     )
-
-
-def _line_factors(targets: np.ndarray, entries: np.ndarray) -> np.ndarray | None:
-    """The factors ``targets / entries`` of a single row or column, or None if one is not a normal float."""
-    with np.errstate(over="ignore"):
-        factors = targets / entries
-    return factors if np.minimum.reduce(factors) >= _MIN_NORMAL and np.maximum.reduce(factors) < np.inf else None
 
 
 def quadratic_data(instance: ValidatedInstance) -> QuadraticData:
@@ -161,21 +158,17 @@ def solve_r2(data: QuadraticData, marginals: Marginals) -> float:
 def closed_form_1xn(instance: ValidatedInstance) -> ScaledResult:
     """Single-row limit: the row of column targets, whatever the entries."""
     _require_shape(instance, 1, None, "closed_form_1xn")
-    col_targets = instance.marginals.col_targets
-    col_factors = _line_factors(col_targets, instance.matrix.entries[0, :])
-    matrix = col_targets[None, :].copy()
+    matrix = instance.marginals.col_targets[None, :].copy()
     residual = _largest_abs(*_residuals(matrix, instance.marginals))
-    return _result(matrix, None if col_factors is None else (np.ones(1), col_factors), residual, "closed_form_1xn")
+    return _result(matrix, _read_off(matrix.T, instance.matrix.entries.T, 0)[::-1], residual, "closed_form_1xn")
 
 
 def closed_form_nx1(instance: ValidatedInstance) -> ScaledResult:
     """Single-column limit: the column of row targets, the transposed single-row formula."""
     _require_shape(instance, None, 1, "closed_form_nx1")
-    row_targets = instance.marginals.row_targets
-    row_factors = _line_factors(row_targets, instance.matrix.entries[:, 0])
-    matrix = row_targets[:, None].copy()
+    matrix = instance.marginals.row_targets[:, None].copy()
     residual = _largest_abs(*_residuals(matrix, instance.marginals))
-    return _result(matrix, None if row_factors is None else (row_factors, np.ones(1)), residual, "transposed_delegate")
+    return _result(matrix, _read_off(matrix, instance.matrix.entries, 0), residual, "transposed_delegate")
 
 
 def _ratio_product(numerators, denominators, exponent: int = 0) -> float:
@@ -264,12 +257,8 @@ def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
     if not _MIN_NORMAL <= kappa <= 1.0 / _MIN_NORMAL:
         raise NonPositiveRoot(f"cross-ratio {kappa!r} is outside the normal float range", math.nan, math.nan)
     entries, residual = _limit_2x2(kappa, instance.marginals)
-    s11, s12, s21, s22 = entries
-    # Factors in the c2 = 1 gauge: s12 = a12 r1, s22 = a22 r2, s21 = a21 r2 c1.
-    r1, r2, c1 = s12 / a12, s22 / a22, (s21 / s22) * (a22 / a21)
-    normal = all(_MIN_NORMAL <= f < math.inf for f in (r1, r2, c1))
-    factors = (np.array([r1, r2]), np.array([c1, 1.0])) if normal else None
-    return _result(np.array(entries).reshape(2, 2), factors, residual, "closed_form_2x2")
+    matrix = np.array(entries).reshape(2, 2)
+    return _result(matrix, _read_off(matrix, instance.matrix.entries, 1), residual, "closed_form_2x2")
 
 
 def closed_form_2x2_singular(marginals: Marginals) -> ScaledResult:

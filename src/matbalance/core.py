@@ -276,6 +276,25 @@ def apply_scaling(matrix, factors: ScalingPair) -> np.ndarray:
     return scaled
 
 
+def _read_off(limit: np.ndarray, entries: np.ndarray, p: int) -> tuple[list[float], list[float]]:
+    """The factors ``(r, c)`` with ``c_p = 1`` of ``S = diag(r) A diag(c)``, read off S and A; 0 or inf past the range.
+
+    ``r_i = s_ip / a_ip`` and, with q the last row, ``c_j = (s_qj / s_qp)(a_qp / a_qj)`` on exact exponents: each
+    quotient of mantissas rounds as the plain quotient does where that is normal, and no step leaves the range.
+    Pin a row on the transposes.
+    """
+    r = [s / a for s, a in zip(limit[:, p].tolist(), entries[:, p].tolist())]
+    (top, up), (bottom, down) = math.frexp(limit[-1, p]), math.frexp(entries[-1, p])
+    c = []
+    for s, a in zip(limit[-1].tolist(), entries[-1].tolist()):
+        (m, e), (n, f) = math.frexp(s), math.frexp(a)
+        try:
+            c.append(math.ldexp((m / top) * (bottom / n), (e - up) + (down - f)))
+        except OverflowError:
+            c.append(math.inf)
+    return r, c
+
+
 def residuals(candidate, marginals: Marginals) -> tuple[np.ndarray, np.ndarray]:
     """Row and column sum defects of a candidate matrix against the targets.
 

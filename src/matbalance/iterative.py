@@ -52,6 +52,7 @@ from .core import (
     ScalingPair,
     ValidatedInstance,
     _largest_abs,
+    _read_off,
     _residuals,
     _sealed,
     apply_scaling,
@@ -228,7 +229,8 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     :func:`~matbalance.core.default_gauge`, is returned as it is.  A result
     without factors has them read off ``S = D1 A D2``: with column ``p`` pinned
     and ``q`` the last row, ``r_i = s_ip / a_ip`` and ``c_j = (s_qj / s_qp)
-    (a_qp / a_qj)``, the 2x2 closed form's own operations; a row on the transpose.
+    (a_qp / a_qj)`` on exact exponents, the closed forms' own read-off; a row
+    on the transpose.
 
     Raises:
         NonPositiveInput: pinning that factor puts another outside the
@@ -238,8 +240,7 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     side, p = "row" if gauge.kind == "unit_row_factor" else "column", gauge.index
     if result.factors is None:
         s, a = (m.T if side == "row" else m for m in (result.matrix, instance.matrix.entries))
-        with np.errstate(over="ignore", invalid="ignore"):
-            moved = (s[-1] / s[-1, p]) * (a[-1, p] / a[-1]), s[:, p] / a[:, p]
+        moved = [np.array(v) for v in _read_off(s, a, p)[::-1]]
         if not all(np.minimum.reduce(v) > 0 and np.maximum.reduce(v) < np.inf for v in moved):
             raise NonPositiveInput(
                 f"pinning {side} factor {p + 1} to 1 puts the factors outside the positive float range"

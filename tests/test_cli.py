@@ -624,6 +624,27 @@ class TestFactorsCommand:
         assert (doc["method"], doc["iterations"]) == ("closed_form_1xn", 0)
         assert doc["col_factors"] == [1e10, 1.0]
 
+    @pytest.mark.parametrize("csv, rows, cols, want", [
+        # a12 / a11 = 1e310 overflows, the factor c1 = (s11 / s12)(a12 / a11) = 1e300 does not.
+        ("1e-300,1e10", "1.0000000001e20", "1e10,1e20", [1e300, 1.0]),
+        # a12 / a11 = 1e-320 is subnormal, ~11 significant bits: c1 = 1e-300 came back ~1e-5 off.
+        ("1e170,1e-150,1e-300", "1e10", "1e-120,1e-140,1e10", [1e-300, 1.0, 1e300]),
+    ], ids=["quotient overflows", "quotient is subnormal"])
+    def test_a_quotient_past_the_normal_range_keeps_the_factors_exact(self, capsys, tmp_path, csv, rows, cols, want):
+        # The r1 = 1 gauge's column factors leave the normal range, so the closed form attaches none.
+        path = tmp_path / "row.csv"
+        path.write_text(csv + "\n")
+        code, out, err = run_main(capsys, ["factors", str(path), "--rows", rows, "--cols", cols, "--gauge", "c,2"])
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert (doc["method"], doc["iterations"]) == ("closed_form_1xn", 0)
+        a, s = [Fraction(x) for x in map(float, csv.split(","))], [Fraction(x) for x in doc["matrix"][0]]
+        exact = [s[1] / a[1]], [(s[j] / s[1]) * (a[1] / a[j]) for j in range(len(a))]
+        assert [float(v) for v in exact[1]] == pytest.approx(want, rel=1e-15)
+        for got, values in zip((doc["row_factors"], doc["col_factors"]), exact):
+            for value, v in zip(got, values):
+                assert abs(Fraction(value) - v) <= 2 * Fraction(float(np.spacing(float(v))))
+
     def test_a_subnormal_closed_form_factor_does_not_skew_another_gauge(self, capsys, tmp_path):
         # The c2 = 1 factor r1 is ~4.4e-324, one significant bit as a float;
         # the r1 = 1 gauge's c1 is s11 / a11, not that factor's rounding moved.

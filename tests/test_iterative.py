@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -735,6 +736,18 @@ def _exact_read_off(s, a, gauge):
     return (other, pinned) if gauge.kind == "unit_col_factor" else (pinned, other)
 
 
+def _gauges(inst):
+    return [GaugeFix("unit_row_factor", i) for i in range(inst.rows)] + [
+        GaugeFix("unit_col_factor", j) for j in range(inst.cols)
+    ]
+
+
+def _past_the_float_range(exact):
+    """Whether an exact factor rounds to 0 or past the largest float, with slack for the read-off's roundings."""
+    return any(v > Fraction(sys.float_info.max) * (1 - Fraction(1, 10**15)) or v <= Fraction(2.0**-1074)
+               for values in exact for v in values)
+
+
 class TestReadOff:
     """A result without factors gets them from S and A, by the closed forms' own operations."""
 
@@ -746,6 +759,20 @@ class TestReadOff:
             shape = [(1, n), (n, 1), (2, 2)][k % 3]
             entries = rng.uniform(0.2, 5.0, shape) if k % 2 else 10.0 ** rng.uniform(-150, 150, shape)
             yield validate_instance(PositiveMatrix(entries), random_marginals(rng, *shape))
+        # Entries and targets that span more than the float range within a row or a column, so that
+        # the plain quotients s_qj / s_qp and a_qp / a_qj leave it where the factors need not.
+        for k in range(600):
+            n = 2 + k % 5
+            shape = [(1, n), (n, 1), (2, 2)][k % 3]
+            entries = 10.0 ** rng.uniform(-300, 300, shape)
+            if shape == (2, 2):
+                rows = 10.0 ** rng.uniform(-300, 300, 2)
+                yield validate_instance(PositiveMatrix(entries), Marginals(rows, rows[::-1].copy()))
+                continue
+            targets = 10.0 ** rng.uniform(-300, 300, n)
+            total = np.array([targets.sum()])
+            marginals = Marginals(total, targets) if shape[0] == 1 else Marginals(targets, total)
+            yield validate_instance(PositiveMatrix(entries), marginals)
 
     def test_default_gauge_equals_the_closed_forms_pair_bit_for_bit(self):
         compared = 0
@@ -760,27 +787,50 @@ class TestReadOff:
             assert pair.row_factors.tobytes() == result.factors.row_factors.tobytes()
             assert pair.col_factors.tobytes() == result.factors.col_factors.tobytes()
             compared += 1
-        assert compared >= 550
+        assert compared >= 700
+
+    def test_every_gauge_is_within_3_ulps_of_the_exact_read_off_or_refused_past_the_range(self):
+        # A refusal must be a factor that is really out of range, not a quotient on the way.
+        checked = refused = 0
+        for inst in self._draws():
+            try:
+                bare = dataclasses.replace(closed_form_dispatch(inst), factors=None)
+            except MatrixBalanceError:
+                continue
+            for gauge in _gauges(inst):
+                exact = _exact_read_off(bare.matrix.tolist(), inst.matrix.entries.tolist(), gauge)
+                try:
+                    pair = extract_factors(inst, bare, gauge)
+                except NonPositiveInput:
+                    assert _past_the_float_range(exact), gauge
+                    refused += 1
+                    continue
+                for got, values in zip((pair.row_factors.tolist(), pair.col_factors.tolist()), exact):
+                    for value, v in zip(got, values):
+                        if v >= Fraction(sys.float_info.min):  # a subnormal keeps fewer digits
+                            assert abs(Fraction(value) - v) <= 3 * Fraction(float(np.spacing(float(v)))), gauge
+                checked += 1
+        assert checked >= 3000 and refused >= 300
 
     def test_every_gauge_rebuilds_s_within_8_ulps(self):
-        # apply_scaling forms r_i a_ij first, so only where that product and
-        # every factor are normal does it keep full precision.
+        # apply_scaling forms r_i a_ij first, so only where that product,
+        # every factor and every entry of S are normal does it keep full precision.
         checked = 0
         for inst in self._draws():
             try:
                 bare = dataclasses.replace(closed_form_dispatch(inst), factors=None)
             except MatrixBalanceError:
                 continue
-            gauges = [GaugeFix("unit_row_factor", i) for i in range(inst.rows)]
-            for gauge in gauges + [GaugeFix("unit_col_factor", j) for j in range(inst.cols)]:
+            for gauge in _gauges(inst):
                 try:
                     pair = extract_factors(inst, bare, gauge)
                 except NonPositiveInput:
+                    assert _past_the_float_range(_exact_read_off(bare.matrix.tolist(), inst.matrix.entries.tolist(), gauge))
                     continue
                 with np.errstate(over="ignore"):
                     partial = pair.row_factors[:, None] * inst.matrix.entries
-                if not (min(pair.row_factors.min(), pair.col_factors.min(), partial.min()) >= np.finfo(float).tiny
-                        and partial.max() < np.inf):
+                smallest = min(pair.row_factors.min(), pair.col_factors.min(), partial.min(), bare.matrix.min())
+                if not (smallest >= np.finfo(float).tiny and partial.max() < np.inf):
                     continue
                 assert_within_ulps(apply_scaling(inst.matrix, pair), bare.matrix, 8)
                 checked += 1
