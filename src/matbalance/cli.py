@@ -138,14 +138,15 @@ def parse_input(
     """Read a matrix and its targets from a JSON document or a CSV file.
 
     Returns ``(matrix_rows, row_sums, col_sums)`` as nested lists of floats,
-    or of exact rationals when ``exact`` is set.
+    or of exact rationals when ``exact`` is set.  Only the syntax is checked
+    here; every shape and positivity check is made by the value types the
+    lists are handed to.  A leading UTF-8 byte-order mark is skipped.
 
     Raises:
         ParseError: malformed document, with 1-based line/column.
-        ShapeMismatch: the matrix is empty or its rows differ in length.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", 1, 1) from exc
@@ -159,7 +160,6 @@ def parse_input(
         if not (rows_flag and cols_flag):
             raise ParseError("matrix-only input requires --rows and --cols", 1, 1)
         sums = _parse_vector_flag(rows_flag, exact), _parse_vector_flag(cols_flag, exact)
-    check_grid(matrix)
     return matrix, *sums
 
 
@@ -249,15 +249,10 @@ def _iteration_config(args: argparse.Namespace) -> IterationConfig:
 
 
 def _read_instance(args: argparse.Namespace) -> ValidatedInstance:
-    import numpy as np
-
     from .core import Marginals, PositiveMatrix, validate_instance
 
     matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols)
-    return validate_instance(
-        PositiveMatrix(np.array(matrix, dtype=float)),
-        Marginals(np.array(row_sums, dtype=float), np.array(col_sums, dtype=float)),
-    )
+    return validate_instance(PositiveMatrix(matrix), Marginals(row_sums, col_sums))
 
 
 def _solve(args: argparse.Namespace, instance: ValidatedInstance, config: IterationConfig) -> ScaledResult:
@@ -411,7 +406,7 @@ def _degree_check_single(args: argparse.Namespace) -> tuple[dict, int]:
 
     gauge = _parse_gauge(args.gauge)
     matrix, row_sums, col_sums = parse_input(args.input, args.rows, args.cols, exact=True)
-    rows, cols = len(matrix), len(matrix[0])
+    rows, cols = check_grid(matrix)
     # Checked with a gauge that fits first, so a misfit gauge is found last,
     # as on the float commands.
     instance = RationalInstance(matrix, row_sums, col_sums, default_gauge(rows, cols))

@@ -468,6 +468,8 @@ def verify_solution_on_variety(
     tol: float,
 ) -> VarietyReport:
     """Evaluate every polynomial at the assignment and compare against ``tol``."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     if tol <= 0:
         raise ValueError("tol must be > 0")
     polys = list(polynomials.polynomials) if isinstance(polynomials, GroebnerBasis) else list(polynomials)
@@ -524,7 +526,8 @@ class RationalInstance:
 
 
 def scaling_variables(rows: int, cols: int, gauge: GaugeFix) -> tuple[str, ...]:
-    """Unknown names r1..rn, c1..cm with the gauge-fixed one removed."""
+    """Unknown names r1..rn, c1..cm with the gauge-fixed one removed; ShapeMismatch if the gauge does not fit."""
+    gauge.check_fits(rows, cols)
     names = [f"r{i + 1}" for i in range(rows)] + [f"c{j + 1}" for j in range(cols)]
     if gauge.kind == "unit_row_factor":
         names.remove(f"r{gauge.index + 1}")

@@ -214,8 +214,9 @@ def _start_exponent(entries: np.ndarray, row_targets: np.ndarray, col_targets: n
     2**(g_j - k), g_j = max_i(exponent(a_ij) + t_i - e_i), so for column targets 2**u its factor
     2**(u_j - g_j + k) is normal for k within ~1021 of g_j - u_j: take the midpoint of them all.
     """
-    e, t = np.frexp(np.maximum.reduce(entries, axis=1))[1], np.frexp(row_targets)[1]
-    g = np.max(np.frexp(entries)[1] + (t - e)[:, None], axis=0)
+    a = np.frexp(entries)[1]  # exponent(a_ij), monotone in a_ij, so its row maxima are e
+    e, t = np.maximum.reduce(a, axis=1), np.frexp(row_targets)[1]
+    g = np.max(a + (t - e)[:, None], axis=0)
     exponents = np.concatenate(([0], -e, t - e, t, g - np.frexp(col_targets)[1]))
     return (int(np.max(exponents)) + int(np.min(exponents))) // 2
 

@@ -235,6 +235,21 @@ class TestParseInput:
         assert out == ""
         assert err.startswith(f"error: {message}")
 
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    @pytest.mark.parametrize("command", ["scale", "degree-check"])
+    @pytest.mark.parametrize("text, flags", [
+        ('{"matrix": [[1, 2], [3, 4]], "row_sums": [1, 1], "col_sums": [1, 1]}', []),
+        ("1,2\n3,4\n", ["--rows", "1,1", "--cols", "1,1"]),
+    ], ids=["json", "csv"])
+    def test_a_byte_order_mark_is_skipped(self, capsys, tmp_path, command, text, flags):
+        outputs = []
+        for name, prefix in (("plain", ""), ("marked", "\ufeff")):
+            path = tmp_path / name
+            path.write_text(prefix + text, encoding="utf-8")
+            outputs.append(run_main(capsys, [command, str(path), *flags]))
+        assert outputs[0][0] == EXIT_OK
+        assert outputs[1] == outputs[0]
+
     def test_ragged_csv_is_a_typed_error(self, capsys, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2\n3\n")

@@ -269,6 +269,25 @@ class TestApplyScaling:
             assert_within_ulps(moved, base, 4)
 
 
+class TestPublicInputChecks:
+    """Input checks of the public functions that no other test reaches."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: validate_instance([[1, 2], [3, 4]], ([1, 1], [1, 1])), TypeError, "marginals must be a Marginals value"),
+        (lambda: validate_instance([[1, 2], [3]], Marginals([1, 1], [1, 1])), ShapeMismatch, "matrix rows have unequal lengths"),
+        (lambda: validate_instance([[1, 0], [3, 4]], Marginals([1, 1], [1, 1])), NonPositiveInput, "matrix contains entries <= 0"),
+        (lambda: residuals([0.5, 0.5], Marginals([1], [1])), ShapeMismatch, r"candidate must be 2-dimensional, got shape \(2,\)"),
+    ], ids=["marginals not Marginals", "ragged nested-list matrix", "nonpositive nested-list matrix", "1-D candidate"])
+    def test_refused_with_the_typed_error(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_nested_list_matrix_is_coerced(self):
+        inst = validate_instance([[1, 2], [3, 4]], Marginals([1, 1], [1, 1]))
+        assert isinstance(inst.matrix, PositiveMatrix)
+        np.testing.assert_array_equal(inst.matrix.entries, [[1.0, 2.0], [3.0, 4.0]])
+
+
 class TestResiduals:
     def test_exact_match_is_zero(self):
         row, col = residuals([[0.5, 0.5], [0.5, 0.5]], Marginals([1, 1], [1, 1]))

@@ -852,6 +852,18 @@ class TestVerifyOnVariety:
         assert report.residuals == (float(Fraction(0.1) + Fraction(0.2) - Fraction(3, 10)),)
         assert report.residuals != ((-0.3 + 0.2) + 0.1,)
 
+    # An infinite tolerance would pass any residual, and a NaN one would fail every report.
+    @pytest.mark.parametrize("tol, message", [
+        (-1e-6, "tol must be > 0"),
+        (0.0, "tol must be > 0"),
+        (math.inf, "tol must be finite, got inf"),
+        (math.nan, "tol must be finite, got nan"),
+    ], ids=["negative", "zero", "inf", "nan"])
+    def test_rejects_bad_tolerance(self, tol, message):
+        with pytest.raises(ValueError) as err:
+            verify_solution_on_variety([poly(("x",), {(1,): 1, (0,): -1})], {"x": 1.0}, tol=tol)
+        assert str(err.value) == message
+
     def test_nan_residual_fails_wherever_it_falls(self):
         # x^2 - x at x = inf is nan; a finite residual before it must not pass the report.
         vs = ("x", "y")
@@ -920,6 +932,7 @@ class TestRationalInstances:
     @pytest.mark.parametrize("gauge, message", [
         (GaugeFix("unit_row_factor", 2), "row gauge index 2 for 2 rows"),
         (GaugeFix("unit_col_factor", 3), "col gauge index 3 for 3 cols"),
+        (GaugeFix("unit_row_factor", 5), "row gauge index 5 for 2 rows"),
     ])
     def test_gauge_index_checked_as_in_extract_factors(self, gauge, message):
         from matbalance import ShapeMismatch
@@ -932,9 +945,37 @@ class TestRationalInstances:
                 col_targets=(Fraction(2), Fraction(2), Fraction(2)),
                 gauge=gauge,
             )
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            scaling_variables(2, 3, gauge)
         inst = validate_instance(PositiveMatrix(entries), Marginals([3, 3], [2, 2, 2]))
         with pytest.raises(ShapeMismatch, match=message):
             extract_factors(inst, sinkhorn_iterate(inst), gauge)
+
+
+class TestPublicInputChecks:
+    """Input checks of the public exact-route functions that no other test reaches."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: poly(("x", "y"), {(1,): 1}), ValueError, r"monomial \(1,\) has 1 exponents, expected 2"),
+        (lambda: buchberger([]), ValueError, "buchberger requires at least one generator"),
+        (
+            lambda: elimination_degree(buchberger(build_scaling_ideal(random_rational_instance(2, 2, 5))), "z"),
+            ValueError,
+            "unknown variable 'z'",
+        ),
+        (
+            lambda: normal_form(poly(("x",), {(-1,): 1}), [poly(("x",), {(1,): 1})]),
+            ValueError,
+            r"negative exponent in \(-1,\)",
+        ),
+    ], ids=["monomial of the wrong width", "no generators", "unknown variable", "negative exponent"])
+    def test_refused_with_the_typed_error(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_an_int_rng_seeds_random(self):
+        # The README's rng=42 form.
+        assert random_rational_instance(2, 3, 7) == random_rational_instance(2, 3, random.Random(7))
 
 
 class TestFloatCounterpartOfInconsistency:
