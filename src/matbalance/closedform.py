@@ -7,9 +7,8 @@ cross-ratio ``kappa = (a11/a12)(a22/a21)``, taken on exact exponents, and each
 limit entry is the positive root of its own quadratic in ``kappa`` and the
 targets, evaluated where nothing overflows or cancels.  The singular limit
 ``R_i C_j / sum(R)`` is the case ``kappa = 1``, an ordinary input.  Each formula
-reads its factors off the limit and the matrix, as
-:func:`~matbalance.iterative.extract_factors` does for a result without them,
-and attaches them only if all are normal floats.  :func:`quadratic_data`,
+returns the limit alone, without factors: :func:`~matbalance.iterative.extract_factors`
+reads them off the limit and the matrix in the gauge asked for.  :func:`quadratic_data`,
 :func:`r2_roots` and :func:`solve_r2` keep the paper's quadratic for the
 second row factor, which the acceptance gate checks; the dispatch path does not.
 """
@@ -27,10 +26,8 @@ from .core import (
     Marginals,
     MatrixBalanceError,
     ScaledResult,
-    ScalingPair,
     ValidatedInstance,
     _largest_abs,
-    _read_off,
     _residuals,
     _sealed,
 )
@@ -88,12 +85,10 @@ def _require_shape(instance: ValidatedInstance, rows: int | None, cols: int | No
         raise WrongShape(f"{what} requires {cols} column(s), got {instance.cols}")
 
 
-def _result(matrix: np.ndarray, factors: tuple | None, residual: float, method: str) -> ScaledResult:
-    """A converged closed-form result of checked entries, with its (row, col) factors if all are normal."""
-    normal = factors is not None and all(_MIN_NORMAL <= f < math.inf for v in factors for f in v)
-    pair = _sealed(ScalingPair, row_factors=np.array(factors[0]), col_factors=np.array(factors[1])) if normal else None
+def _result(matrix: np.ndarray, residual: float, method: str) -> ScaledResult:
+    """A converged closed-form result of checked entries; its factors are read off on request."""
     return _sealed(
-        ScaledResult, matrix=matrix, factors=pair, iterations=0, max_marginal_residual=residual, converged=True,
+        ScaledResult, matrix=matrix, factors=None, iterations=0, max_marginal_residual=residual, converged=True,
         method=method,
     )
 
@@ -160,7 +155,7 @@ def closed_form_1xn(instance: ValidatedInstance) -> ScaledResult:
     _require_shape(instance, 1, None, "closed_form_1xn")
     matrix = instance.marginals.col_targets[None, :].copy()
     residual = _largest_abs(*_residuals(matrix, instance.marginals))
-    return _result(matrix, _read_off(matrix.T, instance.matrix.entries.T, 0)[::-1], residual, "closed_form_1xn")
+    return _result(matrix, residual, "closed_form_1xn")
 
 
 def closed_form_nx1(instance: ValidatedInstance) -> ScaledResult:
@@ -168,7 +163,7 @@ def closed_form_nx1(instance: ValidatedInstance) -> ScaledResult:
     _require_shape(instance, None, 1, "closed_form_nx1")
     matrix = instance.marginals.row_targets[:, None].copy()
     residual = _largest_abs(*_residuals(matrix, instance.marginals))
-    return _result(matrix, _read_off(matrix, instance.matrix.entries, 0), residual, "transposed_delegate")
+    return _result(matrix, residual, "transposed_delegate")
 
 
 def _ratio_product(numerators, denominators, exponent: int = 0) -> float:
@@ -246,10 +241,10 @@ def _limit_2x2(kappa: float, marginals: Marginals) -> tuple[list[float], float]:
 
 
 def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
-    """2x2 limit from the cross-ratio, singular or not, with factors in the c2 = 1 gauge.
+    """2x2 limit from the cross-ratio, singular or not.
 
-    The factors are left off where one is not a normal float.  Raises
-    :class:`NonPositiveRoot`, not a wrong answer, where the cross-ratio or an entry does.
+    Raises :class:`NonPositiveRoot`, not a wrong answer, where the cross-ratio or an entry
+    leaves the float range.
     """
     _require_shape(instance, 2, 2, "closed_form_2x2")
     (a11, a12), (a21, a22) = instance.matrix.entries.tolist()
@@ -257,8 +252,7 @@ def closed_form_2x2(instance: ValidatedInstance) -> ScaledResult:
     if not _MIN_NORMAL <= kappa <= 1.0 / _MIN_NORMAL:
         raise NonPositiveRoot(f"cross-ratio {kappa!r} is outside the normal float range", math.nan, math.nan)
     entries, residual = _limit_2x2(kappa, instance.marginals)
-    matrix = np.array(entries).reshape(2, 2)
-    return _result(matrix, _read_off(matrix, instance.matrix.entries, 1), residual, "closed_form_2x2")
+    return _result(np.array(entries).reshape(2, 2), residual, "closed_form_2x2")
 
 
 def closed_form_2x2_singular(marginals: Marginals) -> ScaledResult:
@@ -271,7 +265,7 @@ def closed_form_2x2_singular(marginals: Marginals) -> ScaledResult:
         raise WrongShape("singular closed form requires 2 row and 2 col targets")
     marginals.check_consistent(DEFAULT_CONSISTENCY_TOL)
     entries, residual = _limit_2x2(1.0, marginals)
-    return _result(np.array(entries).reshape(2, 2), None, residual, "closed_form_2x2_singular")
+    return _result(np.array(entries).reshape(2, 2), residual, "closed_form_2x2_singular")
 
 
 def closed_form_dispatch(instance: ValidatedInstance) -> ScaledResult:

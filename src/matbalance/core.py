@@ -42,7 +42,10 @@ def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarr
 
     With ``copy=False`` a float array is checked and made read-only in place.
     """
-    arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise NonPositiveInput(f"{name} contains an entry past the float range") from None
     if arr.ndim != ndim:
         raise ShapeMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -61,8 +64,7 @@ def _sealed(cls, **fields):
     """A :class:`ScalingPair` or :class:`ScaledResult` of values its producer made and range-checked:
     the public constructor's rescan is skipped, and the arrays are only made read-only.
 
-    Sealed values never change, so they may be shared: a result and the pair
-    :func:`~matbalance.iterative.extract_factors` returns for it can be one object."""
+    Sealed values never change, so they may be shared."""
     for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -191,6 +193,9 @@ class ScalingPair:
 class ScaledResult:
     """A balanced matrix plus convergence diagnostics.
 
+    ``factors`` is the iterative route's tracked pair; the closed forms return the limit alone,
+    with ``None``, and :func:`~matbalance.iterative.extract_factors` reads theirs off the matrix.
+
     ``method`` is one of ``iterative``, ``closed_form_1xn``, ``closed_form_2x2``,
     ``transposed_delegate``, or ``closed_form_2x2_singular``, which only that function
     returns.  The matrix is taken over, not copied, and made read-only.  This constructor
@@ -271,25 +276,6 @@ def apply_scaling(matrix, factors: ScalingPair) -> np.ndarray:
     scaled = r[:, None] * entries
     scaled *= c[None, :]
     return scaled
-
-
-def _read_off(limit: np.ndarray, entries: np.ndarray, p: int) -> tuple[list[float], list[float]]:
-    """The factors ``(r, c)`` with ``c_p = 1`` of ``S = diag(r) A diag(c)``, read off S and A; 0 or inf past the range.
-
-    ``r_i = s_ip / a_ip`` and, with q the last row, ``c_j = (s_qj / s_qp)(a_qp / a_qj)`` on exact exponents: each
-    quotient of mantissas rounds as the plain quotient does where that is normal, and no step leaves the range.
-    Pin a row on the transposes.
-    """
-    r = [s / a for s, a in zip(limit[:, p].tolist(), entries[:, p].tolist())]
-    (top, up), (bottom, down) = math.frexp(limit[-1, p]), math.frexp(entries[-1, p])
-    c = []
-    for s, a in zip(limit[-1].tolist(), entries[-1].tolist()):
-        (m, e), (n, f) = math.frexp(s), math.frexp(a)
-        try:
-            c.append(math.ldexp((m / top) * (bottom / n), (e - up) + (down - f)))
-        except OverflowError:
-            c.append(math.inf)
-    return r, c
 
 
 def residuals(candidate, marginals: Marginals) -> tuple[np.ndarray, np.ndarray]:

@@ -29,9 +29,9 @@ Each value is range-checked once, where it is made: the caller's data by
 :func:`~matbalance.core.validate_instance`, the factors by each sweep, ``S``
 once after the last (an entry can leave the float range while every factor
 is in it), and moved factors by :func:`extract_factors` and
-:func:`gauge_transform`; :func:`extract_factors` passes a pair already in
-the requested gauge through unmoved, and reads the factors of a result
-that carries none off ``S`` and ``A``.  Results skip the constructors' rescan.  The targets come
+:func:`gauge_transform`; :func:`extract_factors` reads the factors of a
+result that carries none, such as every closed form's, off ``S`` and ``A``
+in the requested gauge.  Results skip the constructors' rescan.  The targets come
 from :class:`~matbalance.core.Marginals` as they are stored there, one
 read-only array of rows then columns, so a sweep's gate, residual and stop
 test read them without a copy.
@@ -52,7 +52,6 @@ from .core import (
     ScalingPair,
     ValidatedInstance,
     _largest_abs,
-    _read_off,
     _residuals,
     _sealed,
     apply_scaling,
@@ -224,14 +223,11 @@ def _start_exponent(entries: np.ndarray, row_targets: np.ndarray, col_targets: n
 def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: GaugeFix) -> ScalingPair:
     """The result's factors in the gauge that pins one factor to exactly 1.
 
-    Tracked factors are moved: the pinned factor's vector is divided by it and
-    the other multiplied, so ``apply_scaling`` with the pair stays within a few
-    ulps of ``S``; a pair already pinned, as every closed form's is under
-    :func:`~matbalance.core.default_gauge`, is returned as it is.  A result
-    without factors has them read off ``S = D1 A D2``: with column ``p`` pinned
-    and ``q`` the last row, ``r_i = s_ip / a_ip`` and ``c_j = (s_qj / s_qp)
-    (a_qp / a_qj)`` on exact exponents, the closed forms' own read-off; a row
-    on the transpose.
+    Tracked factors, the iterative route's, are moved: the pinned factor's
+    vector is divided by it and the other multiplied, so ``apply_scaling`` with
+    the pair stays within a few ulps of ``S``.  A result without factors, as
+    every closed form's is, has them read off ``S = D1 A D2`` by :func:`_read_off`
+    in the requested gauge, a pinned row on the transposes, never moved from another.
 
     Raises:
         NonPositiveInput: pinning that factor puts another outside the
@@ -239,27 +235,46 @@ def extract_factors(instance: ValidatedInstance, result: ScaledResult, gauge: Ga
     """
     gauge.check_fits(instance.rows, instance.cols)
     side, p = "row" if gauge.kind == "unit_row_factor" else "column", gauge.index
+    what = f"pinning {side} factor {p + 1} to 1"
     if result.factors is None:
         s, a = (m.T if side == "row" else m for m in (result.matrix, instance.matrix.entries))
-        moved = [np.array(v) for v in _read_off(s, a, p)[::-1]]
+        moved = [np.array(v) for v in _read_off(s, a, p)]
         if not all(np.minimum.reduce(v) > 0 and np.maximum.reduce(v) < np.inf for v in moved):
-            raise NonPositiveInput(
-                f"pinning {side} factor {p + 1} to 1 puts the factors outside the positive float range"
-            )
+            raise NonPositiveInput(f"{what} puts the factors outside the positive float range")
     else:
         r, c = result.factors.row_factors, result.factors.col_factors
         divided, multiplied = (r, c) if side == "row" else (c, r)
-        pivot = float(divided[p])
-        if pivot == 1.0:
-            return result.factors
-        moved = _moved(divided, multiplied, pivot, f"pinning {side} factor {p + 1} to 1")
+        moved = _moved(divided, multiplied, float(divided[p]), what)
     r, c = moved if side == "row" else moved[::-1]
     return _sealed(ScalingPair, row_factors=r, col_factors=c)
 
 
+def _read_off(limit: np.ndarray, entries: np.ndarray, p: int) -> tuple[list[float], list[float]]:
+    """The factors ``(c, r)``, pinned side first as :func:`_moved` returns them, with ``c_p = 1`` of
+    ``S = diag(r) A diag(c)``, read off S and A; 0 or inf past the range.
+
+    ``r_i = s_ip / a_ip`` and, with q the last row, ``c_j = (s_qj / s_qp)(a_qp / a_qj)`` on exact exponents: each
+    quotient of mantissas rounds as the plain quotient does where that is normal, and no step leaves the range.
+    """
+    r = [s / a for s, a in zip(limit[:, p].tolist(), entries[:, p].tolist())]
+    (top, up), (bottom, down) = math.frexp(limit[-1, p]), math.frexp(entries[-1, p])
+    c = []
+    for s, a in zip(limit[-1].tolist(), entries[-1].tolist()):
+        (m, e), (n, f) = math.frexp(s), math.frexp(a)
+        try:
+            c.append(math.ldexp((m / top) * (bottom / n), (e - up) + (down - f)))
+        except OverflowError:
+            c.append(math.inf)
+    return c, r
+
+
 def gauge_transform(factors: ScalingPair, lam: float) -> ScalingPair:
     """Map ``(r, c)`` to ``(lam * r, c / lam)``, the same scaled matrix; NonPositiveInput past the float range."""
-    if not (np.isfinite(lam) and lam > 0):
+    try:
+        valid = math.isfinite(lam) and lam > 0
+    except OverflowError:  # an int past the float range
+        valid = False
+    if not valid:
         raise NonPositiveLambda(f"lambda must be a positive finite real, got {lam!r}")
     c, r = _moved(factors.col_factors, factors.row_factors, float(lam), f"lam {lam!r}")
     return _sealed(ScalingPair, row_factors=r, col_factors=c)

@@ -1,9 +1,13 @@
 """Shared generators and comparison helpers for the test suite."""
 
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from matbalance import Marginals, PositiveMatrix, validate_instance
+from matbalance import Marginals, PositiveMatrix, default_gauge, extract_factors, validate_instance
 
 
 def assert_within_ulps(actual, expected, ulps):
@@ -55,6 +59,36 @@ def nathanson_limit(entries):
     p = np.sqrt(a * d)
     q = np.sqrt(b * c)
     return np.array([[p, q], [q, p]]) / (p + q)
+
+
+def default_factors(instance, result):
+    """A closed-form result's factors, which it does not carry, read off in the default gauge."""
+    assert result.factors is None
+    return extract_factors(instance, result, default_gauge(instance.rows, instance.cols))
+
+
+def formula_factors(instance, matrix):
+    """The default-gauge factors of a closed form's limit, by the formulas, and if they round as plain quotients.
+
+    Only the 2x2's ``c1 = (s21 / s22)(a22 / a21)`` takes more than one rounding.  Where its plain quotients are
+    normal, the read-off rounds as they do; where one is not, it keeps the exponents exact, so ``c1`` here is the
+    exact value, correctly rounded.
+    """
+    a = instance.matrix.entries
+    with np.errstate(over="ignore"):
+        if instance.rows == 1:
+            return (np.ones(1), instance.marginals.col_targets / a[0]), True
+        if instance.cols == 1:
+            return (instance.marginals.row_targets / a[:, 0], np.ones(1)), True
+    (s11, s12), (s21, s22) = matrix.tolist()
+    (a11, a12), (a21, a22) = a.tolist()
+    quotients = (s21 / s22, a22 / a21)
+    c1 = quotients[0] * quotients[1]
+    plain = all(sys.float_info.min <= v < math.inf for v in (*quotients, c1))
+    if not plain:
+        exact = Fraction(s21) / Fraction(s22) * Fraction(a22) / Fraction(a21)
+        c1 = float(exact) if exact <= sys.float_info.max else math.inf
+    return ([s12 / a12, s22 / a22], [c1, 1.0]), plain
 
 
 @pytest.fixture

@@ -628,8 +628,8 @@ class TestFactorsCommand:
 
     @pytest.mark.parametrize("method", ["auto", "closed-form"])
     def test_factors_past_the_float_range_are_read_off_the_closed_form(self, capsys, tmp_path, method):
-        # Column factors 1e310 and 1e300 leave the float range, so the closed
-        # form attaches none; pinning column 2 brings them back into it.
+        # In the default r1 = 1 gauge the column factors 1e310 and 1e300 leave
+        # the float range; pinning column 2 brings them back into it.
         path = tmp_path / "row.csv"
         path.write_text("1e-300,1e-290\n")
         argv = ["factors", str(path), "--rows", "2e10", "--cols", "1e10,1e10", "--gauge", "c,2", "--method", method]
@@ -646,7 +646,7 @@ class TestFactorsCommand:
         ("1e170,1e-150,1e-300", "1e10", "1e-120,1e-140,1e10", [1e-300, 1.0, 1e300]),
     ], ids=["quotient overflows", "quotient is subnormal"])
     def test_a_quotient_past_the_normal_range_keeps_the_factors_exact(self, capsys, tmp_path, csv, rows, cols, want):
-        # The r1 = 1 gauge's column factors leave the normal range, so the closed form attaches none.
+        # The default r1 = 1 gauge's column factors leave the normal range; the c2 = 1 gauge's do not.
         path = tmp_path / "row.csv"
         path.write_text(csv + "\n")
         code, out, err = run_main(capsys, ["factors", str(path), "--rows", rows, "--cols", cols, "--gauge", "c,2"])
@@ -675,6 +675,23 @@ class TestFactorsCommand:
         assert doc["method"] == "closed_form_2x2"
         assert doc["row_factors"][0] == 1.0
         assert abs(doc["col_factors"][0] - 1.461519639982177e-53) <= 2 * np.spacing(1.461519639982177e-53)
+
+
+    def test_a_subnormal_limit_entry_does_not_skew_the_r1_gauge(self, capsys, tmp_path):
+        # s22 = 2.5e-323 is subnormal, so the c2 = 1 factors read through it are off;
+        # read off in the r1 = 1 gauge itself, c1 is s11 / a11.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "matrix": [[7.267051069107025e-94, 1.6797814789737848e+73], [2845543151.505035, 3.7233363119662077e-56]],
+            "row_sums": [9.514945619296461e+26, 6.1239717013651555e-33],
+            "col_sums": [9.514945619296461e+26, 6.1239717013651555e-33],
+        }))
+        code, out, err = run_main(capsys, ["factors", str(path), "--gauge", "r,1"])
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["method"] == "closed_form_2x2"
+        assert doc["row_factors"][0] == 1.0
+        assert doc["col_factors"][0] == doc["matrix"][0][0] / 7.267051069107025e-94 == 1.3093269235089686e+120
 
 
 class TestCompareCommand:
@@ -795,6 +812,7 @@ class TestGoldenStdout:
         ("scale_2x2.csv", ["scale", "{pair}", "--format", "csv"]),
         ("factors_2x2.json", ["factors", "{pair}"]),
         ("factors_2x2.csv", ["factors", "{pair}", "--format", "csv"]),
+        ("factors_2x2_r1.csv", ["factors", "{pair}", "--gauge", "r,1", "--format", "csv"]),
         ("scale_singular.json", ["scale", "{singular}", "--rows", "1,1", "--cols", "1,1"]),
         ("degree_check.json", ["degree-check", "--seed", "42", "--count", "3"]),
         ("degree_check.csv", ["degree-check", "--seed", "42", "--count", "3", "--format", "csv"]),

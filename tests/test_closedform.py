@@ -2,16 +2,17 @@ import math
 import sys
 import warnings
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from matbalance import (
+    GaugeFix,
     InconsistentMarginals,
     Marginals,
     MatrixBalanceError,
     NearSingular,
+    NonPositiveInput,
     NonPositiveRoot,
     PositiveMatrix,
     UnsupportedShape,
@@ -22,6 +23,8 @@ from matbalance import (
     closed_form_2x2_singular,
     closed_form_dispatch,
     closed_form_nx1,
+    default_gauge,
+    extract_factors,
     max_abs_residual,
     quadratic_data,
     r2_roots,
@@ -34,6 +37,8 @@ from matbalance import (
 
 from conftest import (
     assert_within_ulps,
+    default_factors,
+    formula_factors,
     nathanson_limit,
     random_instance,
     random_marginals,
@@ -116,7 +121,7 @@ class TestSingleRow:
         inst = random_instance(rng, 1, 4)
         result = closed_form_1xn(inst)
         np.testing.assert_allclose(
-            apply_scaling(inst.matrix, result.factors), result.matrix, rtol=1e-15
+            apply_scaling(inst.matrix, default_factors(inst, result)), result.matrix, rtol=1e-15
         )
 
 
@@ -144,7 +149,7 @@ class TestSingleColumn:
     @pytest.mark.parametrize("rows", [1, 2, 5, 29, 1001, 3000])
     def test_bitwise_equal_to_transposed_single_row(self, rows):
         # Reference: the single-row formula on the transposed instance, with
-        # the factors swapped back.
+        # the factors, read off with the column and the row pinned, swapped back.
         rng = np.random.default_rng(rows)
         row_targets = rng.uniform(0.5, 3.0, rows)
         entries = rng.uniform(0.2, 5.0, (rows, 1)) * 10.0 ** rng.uniform(-5, 5, (rows, 1))
@@ -154,8 +159,10 @@ class TestSingleColumn:
         result = closed_form_nx1(inst)
         assert result.matrix.tobytes() == inner.matrix.T.tobytes()
         assert result.matrix.shape == (rows, 1)
-        assert result.factors.row_factors.tobytes() == inner.factors.col_factors.tobytes()
-        assert result.factors.col_factors.tobytes() == inner.factors.row_factors.tobytes()
+        pair = extract_factors(inst, result, GaugeFix("unit_col_factor", 0))
+        inner_pair = extract_factors(transpose_instance(inst), inner, GaugeFix("unit_row_factor", 0))
+        assert pair.row_factors.tobytes() == inner_pair.col_factors.tobytes()
+        assert pair.col_factors.tobytes() == inner_pair.row_factors.tobytes()
         assert result.max_marginal_residual == inner.max_marginal_residual > 0
         assert (result.iterations, result.converged, result.method) == (0, True, "transposed_delegate")
 
@@ -233,10 +240,12 @@ class TestClosedForm2x2:
 
     def test_lower_right_entry_from_row_factor(self):
         # s22 = a22 * r2 in the unit-lower-right-column-factor gauge.
-        result = closed_form_2x2(make_instance(*NATHANSON_INSTANCE))
+        inst = make_instance(*NATHANSON_INSTANCE)
+        result = closed_form_2x2(inst)
         assert result.matrix[1, 1] == pytest.approx(4 * 0.112372, abs=1e-5)
-        assert result.factors.col_factors[1] == 1.0
-        assert result.factors.row_factors[1] == pytest.approx(0.112372, abs=1e-5)
+        pair = default_factors(inst, result)
+        assert pair.col_factors[1] == 1.0
+        assert pair.row_factors[1] == pytest.approx(0.112372, abs=1e-5)
 
     def test_matches_iterative(self, rng):
         for _ in range(200):
@@ -260,8 +269,9 @@ class TestClosedForm2x2:
         result = closed_form_2x2(inst)
         assert result.method == "closed_form_2x2"
         np.testing.assert_allclose(result.matrix, [[5, 25], [5, 25]], rtol=1e-15, atol=0)
-        assert result.factors.col_factors[1] == 1.0
-        np.testing.assert_allclose(apply_scaling(inst.matrix, result.factors), result.matrix, rtol=1e-15, atol=0)
+        pair = default_factors(inst, result)
+        assert pair.col_factors[1] == 1.0
+        np.testing.assert_allclose(apply_scaling(inst.matrix, pair), result.matrix, rtol=1e-15, atol=0)
 
     # At these scales a11*a22 or the targets' products pass the float range;
     # the cross-ratio and the power-of-two target frame do not.
@@ -295,7 +305,7 @@ class TestClosedForm2x2:
             inst = random_nonsingular_2x2(rng)
             result = closed_form_2x2(inst)
             np.testing.assert_allclose(
-                apply_scaling(inst.matrix, result.factors), result.matrix, rtol=1e-12
+                apply_scaling(inst.matrix, default_factors(inst, result)), result.matrix, rtol=1e-12
             )
 
 
@@ -350,10 +360,11 @@ class TestDispatch:
             closed_form_dispatch(random_instance(rng, 3, 3))
 
     def test_exact_zero_det_takes_the_2x2_formula(self):
-        result = closed_form_dispatch(make_instance([[2, 4], [3, 6]], [1, 1], [1, 1]))
+        inst = make_instance([[2, 4], [3, 6]], [1, 1], [1, 1])
+        result = closed_form_dispatch(inst)
         assert result.method == "closed_form_2x2"
         np.testing.assert_array_equal(result.matrix, [[0.5, 0.5], [0.5, 0.5]])
-        assert result.factors is not None
+        assert default_factors(inst, result).col_factors[1] == 1.0
 
     def test_nonsingular_routes_to_formula(self):
         result = closed_form_dispatch(make_instance(*NATHANSON_INSTANCE))
@@ -582,30 +593,6 @@ class TestAdversarialMagnitudes:
         assert_near_limit(result.matrix, decimal_limit(entries, rows, cols), 1e-14)
 
 
-def _formula_factors(instance, matrix):
-    """The factors a closed form reads off its limit, whether or not it attaches them, and if it rounds as plain quotients.
-
-    Only the 2x2's ``c1 = (s21 / s22)(a22 / a21)`` takes more than one rounding.  Where its plain quotients are
-    normal, the read-off rounds as they do; where one is not, it keeps the exponents exact, so ``c1`` here is the
-    exact value, correctly rounded.
-    """
-    a = instance.matrix.entries
-    with np.errstate(over="ignore"):
-        if instance.rows == 1:
-            return (np.ones(1), instance.marginals.col_targets / a[0]), True
-        if instance.cols == 1:
-            return (instance.marginals.row_targets / a[:, 0], np.ones(1)), True
-    (s11, s12), (s21, s22) = matrix.tolist()
-    (a11, a12), (a21, a22) = a.tolist()
-    quotients = (s21 / s22, a22 / a21)
-    c1 = quotients[0] * quotients[1]
-    plain = all(sys.float_info.min <= v < math.inf for v in (*quotients, c1))
-    if not plain:
-        exact = Fraction(s21) / Fraction(s22) * Fraction(a22) / Fraction(a21)
-        c1 = float(exact) if exact <= sys.float_info.max else math.inf
-    return ([s12 / a12, s22 / a22], [c1, 1.0]), plain
-
-
 class TestCheckedWhereMade:
     """Closed forms skip the public constructors' scans: what they report must equal what those give."""
 
@@ -624,8 +611,36 @@ class TestCheckedWhereMade:
             total = np.array([targets.sum()])
             yield (entries[None, :], total, targets) if k % 2 else (entries[:, None], targets, total)
 
+    @pytest.mark.parametrize("kind", ["1xn", "nx1", "2x2", "2x2-unit", "2x2-near-singular", "2x2-singular"])
+    def test_benchmark_kinds_default_gauge_rebuilds_s_within_8_ulps(self, kind):
+        # The closed-form kinds of the small-mixed benchmark, whose results carry no factors to check.
+        rng = np.random.default_rng(83)
+        for k in range(100):
+            if kind in ("1xn", "nx1"):
+                n = 2 + k % 29
+                entries = rng.uniform(0.2, 5.0, (1, n) if kind == "1xn" else (n, 1))
+            elif kind == "2x2-near-singular":
+                a, b, c = rng.uniform(0.2, 5.0, 3)
+                eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, -7.0)
+                entries = np.array([[a, b], [c, b * c / a * (1.0 + eps)]])
+            elif kind == "2x2-singular":
+                a, b = rng.integers(1, 1000, 2).astype(float)
+                entries = np.array([[a, b], [a, b]]) * [[1.0], [float(rng.integers(1, 10))]]
+            else:
+                entries = rng.uniform(0.2, 5.0, (2, 2))
+            if kind == "2x2-unit":
+                instance = make_instance(entries, np.ones(2), np.ones(2))
+            else:
+                instance = validate_instance(PositiveMatrix(entries), random_marginals(rng, *entries.shape))
+            result = closed_form_dispatch(instance)
+            pair = default_factors(instance, result)
+            gauge = default_gauge(instance.rows, instance.cols)
+            pinned = pair.row_factors if gauge.kind == "unit_row_factor" else pair.col_factors
+            assert pinned[gauge.index] == 1.0
+            assert_within_ulps(apply_scaling(instance.matrix, pair), result.matrix, 8)
+
     def test_residual_and_factors_match_the_public_checks(self):
-        attached = unattached = exact = 0
+        normal = subnormal = refused = exact = 0
         for entries, rows, cols in self._draws():
             instance = make_instance(entries, rows, cols)
             try:
@@ -633,18 +648,23 @@ class TestCheckedWhereMade:
             except MatrixBalanceError:
                 continue
             assert result.max_marginal_residual == max_abs_residual(result.matrix, instance.marginals)
-            want, plain = _formula_factors(instance, result.matrix)
+            want, plain = formula_factors(instance, result.matrix)
             want = [np.asarray(v) for v in want]
-            # Factors are attached only if every one is a normal float.
-            if not all(np.all((v >= sys.float_info.min) & (v < np.inf)) for v in want):
-                assert result.factors is None
-                unattached += 1
+            # Read off in the default gauge, the factors are the formula's, or refused if one leaves the float range.
+            if not all(np.all((v > 0) & (v < np.inf)) for v in want):
+                with pytest.raises(NonPositiveInput):
+                    default_factors(instance, result)
+                refused += 1
                 continue
-            np.testing.assert_array_equal(result.factors.row_factors, want[0])
+            pair = default_factors(instance, result)
+            np.testing.assert_array_equal(pair.row_factors, want[0])
             if plain:
-                np.testing.assert_array_equal(result.factors.col_factors, want[1])
+                np.testing.assert_array_equal(pair.col_factors, want[1])
             else:
-                assert_within_ulps(result.factors.col_factors, want[1], 2)
+                assert_within_ulps(pair.col_factors, want[1], 2)
                 exact += 1
-            attached += 1
-        assert attached >= 300 and unattached >= 50 and exact >= 1
+            if all(np.all(v >= sys.float_info.min) for v in want):
+                normal += 1
+            else:
+                subnormal += 1
+        assert normal >= 300 and subnormal >= 1 and refused >= 50 and exact >= 1

@@ -7,11 +7,13 @@ from matbalance import (
     InconsistentMarginals,
     Marginals,
     NonPositiveInput,
+    NonPositiveLambda,
     PositiveMatrix,
     ScaledResult,
     ScalingPair,
     ShapeMismatch,
     apply_scaling,
+    gauge_transform,
     residuals,
     transpose_instance,
     validate_instance,
@@ -70,6 +72,19 @@ class TestConstruction:
     def test_scaling_pair_rejects_nonpositive(self):
         with pytest.raises(NonPositiveInput):
             ScalingPair([1.0, 0.0], [1.0])
+
+    # A Python int past the float range is refused like a float inf, not with a bare OverflowError or TypeError.
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: PositiveMatrix([[10**400]]), NonPositiveInput, "matrix contains an entry past the float range"),
+        (lambda: Marginals([10**400], [1]), NonPositiveInput, "row_targets contains an entry past the float range"),
+        (lambda: ScalingPair([10**400], [1.0]), NonPositiveInput, "row_factors contains an entry past the float range"),
+        (lambda: gauge_transform(ScalingPair([1.0], [1.0]), 10**400), NonPositiveLambda,
+         "lambda must be a positive finite real, got 1000"),
+    ], ids=["PositiveMatrix", "Marginals", "ScalingPair", "gauge_transform"])
+    def test_an_int_past_the_float_range_is_typed(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value).startswith(message)
 
 
 class TestValidateInstance:
@@ -156,7 +171,10 @@ class TestOverflowSafeTotals:
 
 def per_side_targets(values, name):
     """The check each target vector had on its own before the two were joined: shape, size, then values."""
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:
+        raise NonPositiveInput(f"{name} contains an entry past the float range") from None
     if arr.ndim != 1:
         raise ShapeMismatch(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size == 0:

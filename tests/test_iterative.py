@@ -35,7 +35,14 @@ from matbalance import (
     validate_instance,
 )
 
-from conftest import assert_within_ulps, nathanson_limit, random_instance, random_marginals
+from conftest import (
+    assert_within_ulps,
+    default_factors,
+    formula_factors,
+    nathanson_limit,
+    random_instance,
+    random_marginals,
+)
 
 
 _GENERIC_3X3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.0, 9.0]])
@@ -716,8 +723,7 @@ class TestExtractFactors:
 
 
 # A 2x2 whose c2 = 1 factor r1 is ~4.4e-324: as a subnormal it keeps one
-# significant bit, so the closed form attaches no factors, and each gauge's
-# factors come from S and A directly.
+# significant bit, so no gauge's factors may be moved from that pair.
 SUBNORMAL_FACTOR_2X2 = (
     [[1.1664760008782134e53, 4.216737633858644e137], [1.094136660865682e-133, 1.324518918656442e137]],
     [1.7048275848513759, 2.862177479714276],
@@ -749,7 +755,7 @@ def _past_the_float_range(exact):
 
 
 class TestReadOff:
-    """A result without factors gets them from S and A, by the closed forms' own operations."""
+    """A result without factors, as every closed form's is, gets them from S and A in the gauge asked for."""
 
     @staticmethod
     def _draws():
@@ -774,18 +780,20 @@ class TestReadOff:
             marginals = Marginals(total, targets) if shape[0] == 1 else Marginals(targets, total)
             yield validate_instance(PositiveMatrix(entries), marginals)
 
-    def test_default_gauge_equals_the_closed_forms_pair_bit_for_bit(self):
+    def test_default_gauge_equals_the_formula_factors_bit_for_bit(self):
         compared = 0
         for inst in self._draws():
             try:
                 result = closed_form_dispatch(inst)
             except MatrixBalanceError:
                 continue
-            if result.factors is None:
+            want, plain = formula_factors(inst, result.matrix)
+            rows, cols = (np.asarray(v, dtype=float) for v in want)
+            if not plain or not all(np.all((v >= sys.float_info.min) & (v < np.inf)) for v in (rows, cols)):
                 continue
-            pair = extract_factors(inst, dataclasses.replace(result, factors=None), default_gauge(inst.rows, inst.cols))
-            assert pair.row_factors.tobytes() == result.factors.row_factors.tobytes()
-            assert pair.col_factors.tobytes() == result.factors.col_factors.tobytes()
+            pair = default_factors(inst, result)
+            assert pair.row_factors.tobytes() == rows.tobytes()
+            assert pair.col_factors.tobytes() == cols.tobytes()
             compared += 1
         assert compared >= 700
 
@@ -794,7 +802,7 @@ class TestReadOff:
         checked = refused = 0
         for inst in self._draws():
             try:
-                bare = dataclasses.replace(closed_form_dispatch(inst), factors=None)
+                bare = closed_form_dispatch(inst)
             except MatrixBalanceError:
                 continue
             for gauge in _gauges(inst):
@@ -818,7 +826,7 @@ class TestReadOff:
         checked = 0
         for inst in self._draws():
             try:
-                bare = dataclasses.replace(closed_form_dispatch(inst), factors=None)
+                bare = closed_form_dispatch(inst)
             except MatrixBalanceError:
                 continue
             for gauge in _gauges(inst):
@@ -835,6 +843,45 @@ class TestReadOff:
                 assert_within_ulps(apply_scaling(inst.matrix, pair), bare.matrix, 8)
                 checked += 1
         assert checked >= 2000
+
+    @staticmethod
+    def _wide_draws():
+        """Cycle: 2x2 at 10^U(+-150) with row targets 10^U(+-100) and the columns equal or reversed;
+        1xn (n 2 to 8) at 10^U(+-150) with column targets 10^U(+-100); 2x2 at U(0.2, 5), reversed targets."""
+        rng = np.random.default_rng(5)
+        for k in range(1500):
+            if k % 3 == 0:
+                entries, rows = 10.0 ** rng.uniform(-150, 150, (2, 2)), 10.0 ** rng.uniform(-100, 100, 2)
+                cols = rows.copy() if rng.uniform() < 0.5 else rows[::-1].copy()
+            elif k % 3 == 1:
+                n = int(rng.integers(2, 9))
+                entries, cols = 10.0 ** rng.uniform(-150, 150, (1, n)), 10.0 ** rng.uniform(-100, 100, n)
+                rows = np.array([cols.sum()])
+            else:
+                entries, rows = rng.uniform(0.2, 5.0, (2, 2)), rng.uniform(0.5, 3.0, 2)
+                cols = rows[::-1].copy()
+            yield validate_instance(PositiveMatrix(entries), Marginals(rows, cols))
+
+    def test_every_gauge_of_a_closed_form_is_read_off_within_2_ulps(self):
+        # Moving the default gauge's rounded pair put a normal factor up to ~10% off in another gauge.
+        checked = 0
+        for inst in self._wide_draws():
+            try:
+                result = closed_form_dispatch(inst)
+            except MatrixBalanceError:
+                continue
+            for gauge in _gauges(inst):
+                try:
+                    pair = extract_factors(inst, result, gauge)
+                except NonPositiveInput:
+                    continue
+                exact = _exact_read_off(result.matrix.tolist(), inst.matrix.entries.tolist(), gauge)
+                for got, values in zip((pair.row_factors.tolist(), pair.col_factors.tolist()), exact):
+                    for value, v in zip(got, values):
+                        if Fraction(sys.float_info.min) <= v <= Fraction(sys.float_info.max):
+                            assert abs(Fraction(value) - v) <= 2 * Fraction(float(np.spacing(float(v)))), gauge
+                            checked += 1
+        assert checked >= 30000
 
     @pytest.mark.parametrize("kind", ["unit_row_factor", "unit_col_factor"])
     @pytest.mark.parametrize("index", [0, 1])
@@ -898,35 +945,31 @@ def assert_moved_by_1_bytes(pair, factors, side):
     assert pair.col_factors.tobytes() == want[1].tobytes()
 
 
-class TestGaugePassThrough:
-    """A pair already in the gauge ``extract_factors`` is asked for comes back as the same ScalingPair object.
-
-    Moving it by a pivot of exactly 1.0 would change no byte, which each test checks.
-    """
+class TestMoveBy1:
+    """A pair already in the requested gauge is moved by its pinned factor, exactly 1.0: a new pair of the same bytes."""
 
     @pytest.mark.parametrize("solve, entries, targets", [
         (closed_form_1xn, [[1.0, 2.0, 3.0]], Marginals([6.0], [1.0, 2.0, 3.0])),
         (closed_form_nx1, [[1.0], [2.0], [3.0]], Marginals([1.0, 2.0, 3.0], [6.0])),
         (closed_form_2x2, [[1.0, 2.0], [3.0, 4.0]], Marginals([1.0, 2.0], [1.5, 1.5])),
     ], ids=["closed_form_1xn", "closed_form_nx1", "closed_form_2x2"])
-    def test_closed_forms_under_the_default_gauge_return_the_same_pair(self, solve, entries, targets):
+    def test_closed_forms_read_off_pair_moves_by_1_to_the_same_bytes(self, solve, entries, targets):
         inst = validate_instance(PositiveMatrix(entries), targets)
         result = solve(inst)
         gauge = default_gauge(inst.rows, inst.cols)
-        pair = extract_factors(inst, result, gauge)
-        assert pair is result.factors
+        pair = default_factors(inst, result)
+        again = extract_factors(inst, dataclasses.replace(result, factors=pair), gauge)
+        assert again is not pair
         side = "row" if gauge.kind == "unit_row_factor" else "column"
-        assert_moved_by_1_bytes(pair, result.factors, side)
+        assert_moved_by_1_bytes(again, pair, side)
 
-    def test_a_pair_pinned_once_returns_the_same_pair(self, rng):
+    def test_a_pair_pinned_once_moves_by_1_to_the_same_bytes(self, rng):
         inst = random_instance(rng, 3, 4)
         result = sinkhorn_iterate(inst)
         for gauge, side in ((GaugeFix("unit_row_factor", 1), "row"), (GaugeFix("unit_col_factor", 3), "column")):
             once = extract_factors(inst, result, gauge)
-            # The iterative factors are not in this gauge, so the first call moves them.
-            assert once is not result.factors
             twice = extract_factors(inst, dataclasses.replace(result, factors=once), gauge)
-            assert twice is once
+            assert twice is not once
             assert_moved_by_1_bytes(twice, once, side)
 
     @pytest.mark.parametrize("lam", [1.0, 1, np.float64(1.0)], ids=["float", "int", "numpy float"])
@@ -955,8 +998,10 @@ class TestPackageMadeValuesAreSealed:
         ([[1.0, 2.0], [3.0, 4.0]], Marginals([1.0, 2.0], [1.5, 1.5])),
     ], ids=["1xn", "nx1", "2x2"])
     def test_closed_forms(self, entries, targets):
-        result = closed_form_dispatch(validate_instance(PositiveMatrix(entries), targets))
-        assert_sealed(result.matrix, result.factors.row_factors, result.factors.col_factors)
+        inst = validate_instance(PositiveMatrix(entries), targets)
+        result = closed_form_dispatch(inst)
+        pair = default_factors(inst, result)
+        assert_sealed(result.matrix, pair.row_factors, pair.col_factors)
 
     @pytest.mark.parametrize("scale", [1.0, 1e307], ids=["unmoved", "shift branch"])
     def test_iterative_results_and_their_gauges(self, scale):
