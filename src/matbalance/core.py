@@ -33,6 +33,7 @@ from .errors import (  # noqa: F401  (re-exported: core was their home)
     check_target_lengths,
     default_gauge,
     empty_error,
+    nonfinite_error,
     nonpositive_error,
 )
 
@@ -54,7 +55,7 @@ def _positive_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarr
     # below only word the error.
     if not (np.minimum.reduce(arr, axis=None) > 0 and np.maximum.reduce(arr, axis=None) < np.inf):
         if not np.all(np.isfinite(arr)):
-            raise NonPositiveInput(f"{name} contains NaN or infinite entries")
+            raise nonfinite_error(name)
         raise nonpositive_error(name)
     arr.setflags(write=False)
     return arr

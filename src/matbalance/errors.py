@@ -3,7 +3,7 @@
 Each validation decision of both input routes, float and exact, has its one
 home here, so the two raise the same typed errors in the same words: shape
 (:func:`check_grid`, :func:`check_target_lengths`, :func:`empty_error`),
-positivity (:func:`nonpositive_error`), integer counts
+positivity (:func:`nonpositive_error`, :func:`nonfinite_error`), integer counts
 (:func:`check_integer`) and the gauge (:class:`GaugeFix`,
 :func:`default_gauge`).  Every error that the command line maps to an exit
 code is defined here too.
@@ -53,8 +53,8 @@ class NotConverged(MatrixBalanceError):
 
 
 class ResourceLimit(MatrixBalanceError):
-    """Basis computation exceeded the configured pair or term budget, or an
-    exponent reached the packed field limit."""
+    """Basis computation exceeded its pair or term budget, or an exponent
+    reached the packed field limit."""
 
 
 class UnitIdeal(MatrixBalanceError):
@@ -87,6 +87,11 @@ def check_target_lengths(rows: int, cols: int, row_targets: int, col_targets: in
 def nonpositive_error(name: str) -> NonPositiveInput:
     """The error for a zero or negative entry of ``name``, float or exact."""
     return NonPositiveInput(f"{name} contains entries <= 0; all values must be strictly positive")
+
+
+def nonfinite_error(name: str) -> NonPositiveInput:
+    """The error for a NaN or infinite entry of ``name``, float or exact."""
+    return NonPositiveInput(f"{name} contains NaN or infinite entries")
 
 
 def check_integer(value, name: str) -> int:

@@ -26,7 +26,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._packed import Divisor, Packing, reduce, reduce_basis, s_work, update_pairs
 from .errors import (
@@ -38,6 +38,7 @@ from .errors import (
     check_target_lengths,
     default_gauge,
     empty_error,
+    nonfinite_error,
     nonpositive_error,
 )
 
@@ -48,9 +49,6 @@ BigRational = Fraction
 # Exponent vector, one entry per unknown in the ambient variable order.
 # Plain tuples compare lexicographically, which *is* the lex monomial order.
 Monomial = tuple[int, ...]
-
-DEFAULT_MAX_PAIRS = 100_000
-DEFAULT_MAX_TERMS = 1_000_000
 
 
 class NotZeroDimensional(MatrixBalanceError):
@@ -226,31 +224,28 @@ def s_polynomial(f: MultivariatePolynomial, g: MultivariatePolynomial) -> Multiv
     return _unpacked(packing, f.variables, s_work(f_int, g_int, packing), math.lcm(f_int.coeff, g_int.coeff))
 
 
-# The productive S-pairs of the last full run per key of buchberger, and the
-# most keys kept.  Traces are immutable, so threads share them freely.
+# Buchberger's budgets: the S-pairs a full run may take, and the terms its
+# basis may store.
+MAX_PAIRS = 100_000
+MAX_TERMS = 1_000_000
+
+# What a full run of buchberger did, for replay on the same supports: the
+# S-pairs ``(i, j, leading monomial of the remainder)`` that gave a nonzero
+# remainder, in order.
+_Pairs = tuple[tuple[int, int, int], ...]
+
+# The pairs of the last full run per key of buchberger, and the most keys
+# kept.  Traces are immutable, so threads share them freely.
 TRACE_CACHE_SIZE = 64
-_TRACES: dict[tuple, "_Trace"] = {}
+_TRACES: dict[tuple, _Pairs] = {}
 _TRACES_LOCK = threading.Lock()
-
-
-class _Trace(NamedTuple):
-    """What a full :func:`buchberger` run did, for replay on the same supports.
-
-    ``pairs`` are the S-pairs ``(i, j, leading monomial of the remainder)``
-    that gave a nonzero remainder, in order, and ``processed`` counts every
-    pair taken.
-    """
-
-    pairs: tuple[tuple[int, int, int], ...]
-    processed: int
 
 
 class _Basis:
     """Basis elements appended so far, under the stored-term budget."""
 
-    def __init__(self, packing: Packing, max_terms: int):
+    def __init__(self, packing: Packing):
         self.packing = packing
-        self.max_terms = max_terms
         self.divisors: list[Divisor] = []
         self.leads: list[int] = []
         self.terms = 0
@@ -260,8 +255,8 @@ class _Basis:
         self.divisors.append(g)
         self.leads.append(g.lead)
         self.terms += len(remainder)
-        if self.terms > self.max_terms:
-            raise ResourceLimit(f"stored terms exceeded {self.max_terms}")
+        if self.terms > MAX_TERMS:
+            raise ResourceLimit(f"stored terms exceeded {MAX_TERMS}")
 
     def add_generators(self, packed: list[dict[int, int]]) -> bool:
         """Append the nonzero remainder of each generator by the elements before it.
@@ -284,14 +279,12 @@ class _Basis:
 _UNIT_TERMS: tuple[dict[int, int], ...] = ({0: 1},)
 
 
-def _full_run(
-    packed: list[dict[int, int]], packing: Packing, max_pairs: int, max_terms: int
-) -> tuple[Sequence[dict[int, int]], _Trace | None]:
+def _full_run(packed: list[dict[int, int]], packing: Packing) -> tuple[Sequence[dict[int, int]], _Pairs | None]:
     """Buchberger's algorithm with the normal strategy; the reduced basis terms and the run's trace.
 
     The trace is None when a nonzero constant cut the run short.
     """
-    basis = _Basis(packing, max_terms)
+    basis = _Basis(packing)
     if not basis.add_generators(packed):
         return _UNIT_TERMS, None
     pairs: list[tuple[int, int, int]] = []
@@ -301,8 +294,8 @@ def _full_run(
     processed = 0
     while pairs:
         processed += 1
-        if processed > max_pairs:
-            raise ResourceLimit(f"processed pairs exceeded {max_pairs}")
+        if processed > MAX_PAIRS:
+            raise ResourceLimit(f"processed pairs exceeded {MAX_PAIRS}")
         _, i, j = heapq.heappop(pairs)
         r, _ = reduce(s_work(basis.divisors[i], basis.divisors[j], packing), basis.divisors, packing)
         if not r:
@@ -313,21 +306,19 @@ def _full_run(
         productive.append((i, j, top))
         basis.append(r)
         pairs = update_pairs(pairs, basis.leads, len(basis.leads) - 1, packing)
-    return reduce_basis(basis.divisors, packing), _Trace(tuple(productive), processed)
+    return reduce_basis(basis.divisors, packing), tuple(productive)
 
 
-def _replay(
-    packed: list[dict[int, int]], trace: _Trace, packing: Packing, max_terms: int
-) -> Sequence[dict[int, int]] | None:
+def _replay(packed: list[dict[int, int]], trace: _Pairs, packing: Packing) -> Sequence[dict[int, int]] | None:
     """The reduced basis terms from the traced pairs alone, or None once the run diverges.
 
     A divergence is a pair index past the basis, or a remainder whose
     leading monomial is not the traced one, which a zero remainder never is.
     """
-    basis = _Basis(packing, max_terms)
+    basis = _Basis(packing)
     if not basis.add_generators(packed):
         return _UNIT_TERMS
-    for i, j, lead in trace.pairs:
+    for i, j, lead in trace:
         if j >= len(basis.divisors):
             return None
         r, _ = reduce(s_work(basis.divisors[i], basis.divisors[j], packing), basis.divisors, packing)
@@ -358,17 +349,13 @@ def _certified(reduced: Sequence[dict[int, int]], packed: list[dict[int, int]], 
     return not any(reduce(dict(g), divisors, packing)[0] for g in packed)
 
 
-def _store(key: tuple, trace: _Trace) -> None:
+def _store(key: tuple, trace: _Pairs) -> None:
     with _TRACES_LOCK:
         if key in _TRACES or len(_TRACES) < TRACE_CACHE_SIZE:
             _TRACES[key] = trace
 
 
-def buchberger(
-    generators: Sequence[MultivariatePolynomial],
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> GroebnerBasis:
+def buchberger(generators: Sequence[MultivariatePolynomial]) -> GroebnerBasis:
     """Reduced monic lex Groebner basis of the generated ideal.
 
     Pairs are processed smallest lcm in the lex order first (Buchberger's
@@ -378,9 +365,10 @@ def buchberger(
     Trace replay (after Traverso 1988).  A call is keyed by the variables
     and the supports of the generators, which :func:`build_scaling_ideal`
     fixes per shape and gauge.  A full run that ends in a basis records the
-    S-pairs that gave a nonzero remainder, with their leading monomials,
-    and the number of pairs processed.  A later call with the same key
-    reduces only those pairs, in order, with no pair queue.  A nonzero
+    S-pairs that gave a nonzero remainder, with their leading monomials.
+    A later call with the same key reduces only those pairs, in order, with
+    no pair queue, and counts no pairs: its trace came from a run under the
+    same ``MAX_PAIRS``.  A nonzero
     constant remainder returns the unit basis, since the constant lies in
     the ideal.  Any other remainder whose leading monomial is not the
     traced one, a zero remainder included, abandons the replay.  The
@@ -389,15 +377,16 @@ def buchberger(
     After tail reduction, each of its S-pairs with non-coprime leading
     monomials, and each generator, must reduce to 0 modulo it.  It is then
     the unique reduced basis of the ideal, so the result is ``==`` to the
-    full run's.  A replay that diverges, fails the certificate, or meets a
-    budget or the packed field limit falls back to the full run, whose
+    full run's.  A replay that diverges, fails the certificate, or meets
+    ``MAX_TERMS`` or the packed field limit falls back to the full run, whose
     trace then replaces the stored one.  At most ``TRACE_CACHE_SIZE`` keys
     are kept; past that, new keys run in full and are not stored.  The
     store is shared by every thread of the process.
 
     Raises:
-        ResourceLimit: the pair or stored-term budget was exceeded, or an
-            exponent reached the packed field limit.
+        ResourceLimit: a full run took more than ``MAX_PAIRS`` pairs, the
+            basis stored more than ``MAX_TERMS`` terms, or an exponent
+            reached the packed field limit.
     """
     generators = list(generators)
     if not generators:
@@ -412,14 +401,14 @@ def buchberger(
     key = (variables, tuple(tuple(sorted(g)) for g in packed))
     trace = _TRACES.get(key)
     reduced = None
-    if trace is not None and trace.processed <= max_pairs:
+    if trace is not None:
         try:
-            reduced = _replay(packed, trace, packing, max_terms)
+            reduced = _replay(packed, trace, packing)
         except ResourceLimit:
             # The full run raises it where it applies to this instance.
             pass
     if reduced is None:
-        reduced, trace = _full_run(packed, packing, max_pairs, max_terms)
+        reduced, trace = _full_run(packed, packing)
         if trace is not None:
             _store(key, trace)
     polynomials = tuple(_unpacked(packing, variables, r, next(iter(r.values()))) for r in reduced)
@@ -484,6 +473,28 @@ def verify_solution_on_variety(
     )
 
 
+def _positive_fractions(values: Iterable, name: str) -> tuple[Fraction, ...]:
+    """``values`` as exact rationals, refused as the float route refuses input ``name``.
+
+    A NaN or an infinity is refused first, then no values, then a value <= 0.
+    """
+    out = []
+    for value in values:
+        try:
+            out.append(Fraction(value))
+        except (ValueError, OverflowError):
+            # Fraction refuses a NaN, an infinity and a malformed string; the
+            # string's own error stands.
+            if isinstance(value, str):
+                raise
+            raise nonfinite_error(name) from None
+    if not out:
+        raise empty_error(name)
+    if any(value <= 0 for value in out):
+        raise nonpositive_error(name)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RationalInstance:
     """A balancing problem at exact rational data plus a gauge choice."""
@@ -494,19 +505,15 @@ class RationalInstance:
     gauge: GaugeFix
 
     def __post_init__(self):
-        entries = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
-        rows = tuple(Fraction(v) for v in self.row_targets)
-        cols = tuple(Fraction(v) for v in self.col_targets)
-        # Checked in the order of the float route (matrix, targets, lengths),
-        # so a fault raises the same error on both.
-        height, width = check_grid(entries)
-        matrix = tuple(itertools.chain.from_iterable(entries))
-        for name, values in (("matrix", matrix), ("row_targets", rows), ("col_targets", cols)):
-            if not values:
-                raise empty_error(name)
-            for value in values:
-                if value <= 0:
-                    raise nonpositive_error(name)
+        # Each input is converted and checked under its own name, in the order
+        # of the float route (matrix, row targets, col targets, lengths), so a
+        # fault raises the same error on both.
+        grid = tuple(map(tuple, self.entries))
+        height, width = check_grid(grid)
+        matrix = _positive_fractions(itertools.chain.from_iterable(grid), "matrix")
+        entries = tuple(matrix[k : k + width] for k in range(0, len(matrix), width))
+        rows = _positive_fractions(self.row_targets, "row_targets")
+        cols = _positive_fractions(self.col_targets, "col_targets")
         check_target_lengths(height, width, len(rows), len(cols))
         self.gauge.check_fits(height, width)
         object.__setattr__(self, "entries", entries)
@@ -536,20 +543,16 @@ def scaling_variables(rows: int, cols: int, gauge: GaugeFix) -> tuple[str, ...]:
     return tuple(names)
 
 
-def build_scaling_ideal(
-    instance: RationalInstance,
-    variables: Sequence[str] | None = None,
-) -> list[MultivariatePolynomial]:
+def build_scaling_ideal(instance: RationalInstance) -> list[MultivariatePolynomial]:
     """The n + m gauge-fixed row/column sum polynomials of the instance.
 
     Row i contributes ``sum_j a_ij r_i c_j - R_i`` and column j contributes
     ``sum_i a_ij r_i c_j - C_j``, with the gauged factor replaced by 1.
-    Every generator has total degree at most 2.
+    Every generator has total degree at most 2.  The variable order is
+    :func:`scaling_variables`, fixed per shape and gauge, so equal shapes and
+    gauges give generators of one support.
     """
-    expected = scaling_variables(instance.rows, instance.cols, instance.gauge)
-    variables = expected if variables is None else tuple(variables)
-    if len(variables) != len(expected) or set(variables) != set(expected):
-        raise ValueError(f"variables must be a permutation of {sorted(expected)}")
+    variables = scaling_variables(instance.rows, instance.cols, instance.gauge)
     one = (0,) * len(variables)
     # The gauged factor is fixed to 1, so it keeps the monomial 1.
     unit = {name: one[:k] + (1,) + one[k + 1 :] for k, name in enumerate(variables)}
@@ -569,17 +572,12 @@ def build_scaling_ideal(
     return rows + cols
 
 
-def _random_fraction(rng: random.Random, high: int = 100) -> Fraction:
-    return Fraction(rng.randint(1, high), rng.randint(1, high))
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 100), rng.randint(1, 100))
 
 
-def random_rational_instance(
-    rows: int,
-    cols: int,
-    rng: random.Random | int,
-    gauge: GaugeFix | None = None,
-) -> RationalInstance:
-    """Seeded random positive instance with exactly consistent targets.
+def random_rational_instance(rows: int, cols: int, rng: random.Random | int) -> RationalInstance:
+    """Seeded random positive instance with exactly consistent targets, in the default gauge.
 
     Entries and row targets draw numerator and denominator uniformly from
     [1, 100]; column targets split the row total along random rational
@@ -597,20 +595,15 @@ def random_rational_instance(
         entries=entries,
         row_targets=row_targets,
         col_targets=col_targets,
-        gauge=gauge if gauge is not None else default_gauge(rows, cols),
+        gauge=default_gauge(rows, cols),
     )
 
 
-def random_inconsistent_instance(
-    rows: int,
-    cols: int,
-    rng: random.Random | int,
-    gauge: GaugeFix | None = None,
-) -> RationalInstance:
+def random_inconsistent_instance(rows: int, cols: int, rng: random.Random | int) -> RationalInstance:
     """Like :func:`random_rational_instance` but with a deliberate target defect."""
     if isinstance(rng, int):
         rng = random.Random(rng)
-    base = random_rational_instance(rows, cols, rng, gauge)
+    base = random_rational_instance(rows, cols, rng)
     defect = sum(base.row_targets) * Fraction(rng.randint(1, 3), 10)
     bumped = list(base.col_targets)
     bumped[rng.randrange(cols)] += defect

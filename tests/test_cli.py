@@ -816,6 +816,7 @@ class TestGoldenStdout:
         ("scale_singular.json", ["scale", "{singular}", "--rows", "1,1", "--cols", "1,1"]),
         ("degree_check.json", ["degree-check", "--seed", "42", "--count", "3"]),
         ("degree_check.csv", ["degree-check", "--seed", "42", "--count", "3", "--format", "csv"]),
+        ("degree_check_file.json", ["degree-check", "{pair}", "--gauge", "r,1"]),
     ])
     def test_matches_recorded_bytes(self, capsys, json_doc, csv_doc, golden, argv):
         argv = [arg.format(pair=json_doc, singular=csv_doc) for arg in argv]

@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 import math
 import random
 import sys
@@ -78,6 +78,26 @@ class TestPolynomialArithmetic:
         assert p.evaluate({"x": 2.0, "y": 4.0}) == pytest.approx(11.0)
         with pytest.raises(MissingAssignment):
             p.evaluate({"x": 2.0})
+
+    def test_repr(self):
+        # pytest prints it in every failed polynomial comparison.
+        p = poly(self.VS, {(2, 1): 1, (1, 0): -1, (0, 2): Fraction(-3, 2), (0, 1): Fraction(1, 4), (0, 0): 5})
+        assert repr(p) == "x^2*y - x - 3/2*y^2 + 1/4*y + 5"
+        assert repr(poly(self.VS, {(0, 0): -2})) == "-2"
+        assert repr(poly(self.VS, {})) == "0"
+
+    def test_equal_values_hash_equal(self):
+        p = poly(self.VS, {(1, 0): 1, (0, 0): Fraction(-1, 2)})
+        q = poly(list(self.VS), {(0, 0): Fraction(-2, 4), (1, 0): 1, (0, 1): 0})
+        assert p == q and hash(p) == hash(q)
+        gens = build_scaling_ideal(random_rational_instance(2, 2, 5))
+        first, second = buchberger(gens), buchberger(gens)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+
+    def test_no_polynomial_equals_another_type(self):
+        assert poly(self.VS, {(0, 0): 3}) != 3
+        assert not poly(self.VS, {}) == 0
 
     def test_variable_order_mismatch_rejected(self):
         p = poly(("x", "y"), {(1, 0): 1})
@@ -160,17 +180,6 @@ class TestBuildScalingIdeal:
             assert len(gens) == rows + cols
             assert all(g.total_degree() <= 2 for g in gens)
 
-    def test_custom_variable_order(self):
-        inst = random_rational_instance(2, 2, random.Random(5))
-        order = ("c1", "r2", "r1")
-        gens = build_scaling_ideal(inst, variables=order)
-        assert all(g.variables == order for g in gens)
-        with pytest.raises(ValueError, match="permutation"):
-            build_scaling_ideal(inst, variables=("c1", "r2", "bogus"))
-        # A repeated name is no permutation, however the set compares.
-        with pytest.raises(ValueError, match="permutation"):
-            build_scaling_ideal(inst, variables=("r1", "r2", "c1", "c1"))
-
 
 class TestBuchberger:
     def test_textbook_pair(self):
@@ -235,12 +244,14 @@ class TestBuchberger:
                 for j in range(i):
                     assert normal_form(s_polynomial(polys[i], polys[j]), basis).is_zero()
 
-    def test_resource_limit(self):
-        inst = random_rational_instance(2, 4, random.Random(37))
-        with pytest.raises(ResourceLimit):
-            buchberger(build_scaling_ideal(inst), max_pairs=2)
-        with pytest.raises(ResourceLimit):
-            buchberger(build_scaling_ideal(inst), max_terms=10)
+    def test_resource_limit(self, traces, monkeypatch):
+        gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(37)))
+        with monkeypatch.context() as budget, pytest.raises(ResourceLimit, match="^processed pairs exceeded 2$"):
+            budget.setattr(exactalgebra, "MAX_PAIRS", 2)
+            buchberger(gens)
+        with monkeypatch.context() as budget, pytest.raises(ResourceLimit, match="^stored terms exceeded 10$"):
+            budget.setattr(exactalgebra, "MAX_TERMS", 10)
+            buchberger(gens)
 
     def test_matches_sympy_reduced_basis(self):
         rng = random.Random(41)
@@ -333,9 +344,9 @@ def _two_products(d):
     ]
 
 
-def outcome(gens, **budgets):
+def outcome(gens):
     try:
-        return buchberger(gens, **budgets)
+        return buchberger(gens)
     except ResourceLimit as exc:
         return str(exc)
 
@@ -386,8 +397,8 @@ class TestTraceReplay:
         gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(7)))
         expected = cold(store, gens)
         (key, trace), = store.items()
-        i, j, lead = trace.pairs[1]
-        store[key] = trace._replace(pairs=(trace.pairs[0], (i, j, lead + 1), *trace.pairs[2:]))
+        i, j, lead = trace[1]
+        store[key] = (trace[0], (i, j, lead + 1), *trace[2:])
         runs.update(full=0, replay=0)
         assert buchberger(gens) == expected
         assert runs == {"full": 1, "replay": 1}
@@ -400,7 +411,7 @@ class TestTraceReplay:
         expected = cold(store, gens)
         (key, trace), = store.items()
         # The first pair's remainder joins the basis, so the same pair again reduces to 0.
-        store[key] = trace._replace(pairs=(trace.pairs[0], *trace.pairs))
+        store[key] = (trace[0], *trace)
         runs.update(full=0, replay=0)
         assert buchberger(gens) == expected
         assert runs == {"full": 1, "replay": 1}
@@ -411,9 +422,9 @@ class TestTraceReplay:
         gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(7)))
         expected = cold(store, gens)
         (key, trace), = store.items()
-        i, _, lead = trace.pairs[0]
+        i, _, lead = trace[0]
         # Before any pair, the basis holds at most the generators.
-        store[key] = trace._replace(pairs=((i, len(gens), lead), *trace.pairs[1:]))
+        store[key] = ((i, len(gens), lead), *trace[1:])
         runs.update(full=0, replay=0)
         assert buchberger(gens) == expected
         assert runs == {"full": 1, "replay": 1}
@@ -435,9 +446,9 @@ class TestTraceReplay:
         # At d = 1 both S-pairs reduce to 0, so the trace holds none; give it
         # the pair of the first and the last generator, with the lead xz of
         # its S-polynomial.
-        assert trace.pairs == ()
+        assert trace == ()
         xz = exactalgebra.Packing(3).pack((1, 0, 1))
-        store[key] = trace._replace(pairs=((0, 2, xz),))
+        store[key] = ((0, 2, xz),)
         runs.update(full=0, replay=0)
         assert buchberger(_two_products(2)) == unit
         assert unit.is_unit
@@ -448,7 +459,7 @@ class TestTraceReplay:
         gens = build_scaling_ideal(random_rational_instance(2, 3, random.Random(11)))
         expected = cold(store, gens)
         (key, trace), = store.items()
-        short = trace._replace(pairs=trace.pairs[:-1])
+        short = trace[:-1]
         store[key] = short
         runs.update(full=0, replay=0)
         assert buchberger(gens) == expected
@@ -473,24 +484,37 @@ class TestTraceReplay:
         basis = [poly(((1, 0), 1), ((0, 2), -1)), poly(((0, 3), 1), ((0, 0), -1))]
         assert exactalgebra._certified(basis, gens, packing)
 
-    def test_budgets_raise_alike_warm_and_cold(self, traces):
+    def test_term_budget_raises_alike_warm_and_cold(self, traces, monkeypatch):
         store, _ = traces
         gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(13)))
         other = build_scaling_ideal(random_rational_instance(2, 4, random.Random(17)))
-        cold(store, gens)
-        (trace,) = store.values()
-        basis = buchberger(gens)
+        basis = cold(store, gens)
         terms = sum(len(g.terms) for g in basis.polynomials)
-        budgets = [{"max_pairs": n} for n in (0, 1, trace.processed - 1, trace.processed)]
-        budgets += [{"max_terms": n} for n in (1, 10, terms, 4 * terms)]
-        for budget in budgets:
+        outcomes = {}
+        for n in (1, 10, terms, 4 * terms):
             store.clear()
-            expected = outcome(gens, **budget)
+            with monkeypatch.context() as budget:
+                budget.setattr(exactalgebra, "MAX_TERMS", n)
+                outcomes[n] = outcome(gens)
             cold(store, other)
-            assert outcome(gens, **budget) == expected, budget
-        assert outcome(gens, max_pairs=trace.processed - 1) == f"processed pairs exceeded {trace.processed - 1}"
-        assert outcome(gens, max_terms=10) == "stored terms exceeded 10"
-        assert outcome(gens, max_pairs=trace.processed) == basis
+            # A replay appends the same remainders as the full run.
+            with monkeypatch.context() as budget:
+                budget.setattr(exactalgebra, "MAX_TERMS", n)
+                assert outcome(gens) == outcomes[n], n
+        assert outcomes[10] == "stored terms exceeded 10"
+        assert outcomes[4 * terms] == basis
+
+    def test_a_replay_counts_no_pairs(self, traces, monkeypatch):
+        # Its trace came from a full run under the same pair budget.
+        store, runs = traces
+        gens = build_scaling_ideal(random_rational_instance(2, 4, random.Random(13)))
+        basis = cold(store, gens)
+        monkeypatch.setattr(exactalgebra, "MAX_PAIRS", 0)
+        runs.update(full=0, replay=0)
+        assert outcome(gens) == basis
+        assert runs == {"full": 0, "replay": 1}
+        store.clear()
+        assert outcome(gens) == "processed pairs exceeded 0"
 
     def test_store_stops_growing_at_its_cap(self, traces, monkeypatch):
         store, runs = traces
@@ -508,8 +532,8 @@ class TestTraceReplay:
         # A full key is still refreshed: a fallback replaces its trace.
         gens = build_scaling_ideal(random_rational_instance(2, 2, rng))
         trace = store[keys[0]]
-        i, j, lead = trace.pairs[0]
-        store[keys[0]] = trace._replace(pairs=((i, j, lead + 1), *trace.pairs[1:]))
+        i, j, lead = trace[0]
+        store[keys[0]] = ((i, j, lead + 1), *trace[1:])
         buchberger(gens)
         assert store[keys[0]] == trace
 
@@ -536,10 +560,14 @@ class TestTraceReplay:
     def test_threads_keep_the_store_within_its_cap(self, traces, monkeypatch):
         store, _ = traces
         monkeypatch.setattr(exactalgebra, "TRACE_CACHE_SIZE", 2)
-        inst = random_rational_instance(2, 2, random.Random(53))
-        # Six variable orders give six keys; each thread offers all of them.
-        orders = list(itertools.permutations(scaling_variables(2, 2, inst.gauge)))
-        work = [[build_scaling_ideal(inst, order) for order in orders[k:] + orders[:k]] for k in range(6)]
+        rng = random.Random(53)
+        # Three shapes in two gauges give six keys; each thread offers all of them.
+        ideals = [
+            build_scaling_ideal(dataclasses.replace(random_rational_instance(rows, cols, rng), gauge=gauge))
+            for rows, cols in ((2, 2), (2, 3), (3, 2))
+            for gauge in (default_gauge(rows, cols), GaugeFix("unit_row_factor", 0))
+        ]
+        work = [ideals[k:] + ideals[:k] for k in range(6)]
         _in_threads([lambda part=part: [buchberger(gens) for gens in part] for part in work])
         assert len(store) == 2
 
@@ -720,7 +748,7 @@ class TestExactRouteInvariances:
                 [GaugeFix("unit_row_factor", i) for i in range(rows)]
                 + [GaugeFix("unit_col_factor", j) for j in range(cols)]
             )
-            base = random_rational_instance(rows, cols, rng, gauge)
+            base = dataclasses.replace(random_rational_instance(rows, cols, rng), gauge=gauge)
             a, rt, ct = base.entries, base.row_targets, base.col_targets
             degree = self._degree(a, rt, ct, gauge)
             assert 1 <= degree <= math.comb(rows + cols - 2, rows - 1)
@@ -975,7 +1003,8 @@ class TestPublicInputChecks:
 
     def test_an_int_rng_seeds_random(self):
         # The README's rng=42 form.
-        assert random_rational_instance(2, 3, 7) == random_rational_instance(2, 3, random.Random(7))
+        for draw in (random_rational_instance, random_inconsistent_instance):
+            assert draw(2, 3, 7) == draw(2, 3, random.Random(7))
 
 
 class TestFloatCounterpartOfInconsistency:

@@ -7,6 +7,7 @@ the module structure that keeps each check in one place does not erode.
 
 import ast
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +86,25 @@ def test_library_routes_raise_the_same_error(case, route):
         route(matrix, rows, cols, gauge)
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("route", [
+    lambda matrix, rows, cols: validate_instance(PositiveMatrix(matrix), Marginals(rows, cols)),
+    lambda matrix, rows, cols: RationalInstance(matrix, rows, cols, FITTING),
+], ids=["validate_instance", "RationalInstance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["matrix", "row_targets", "col_targets"])
+def test_nonfinite_data_raise_the_same_error(name, value, route):
+    # Plain floats on both routes: Fraction itself refuses these values.
+    data = {"matrix": [[1.0, 2.0], [3.0, 4.0]], "row_targets": [1.0, 1.0], "col_targets": [1.0, 1.0]}
+    if name == "matrix":
+        data[name][1][0] = value
+    else:
+        data[name][1] = value
+    with pytest.raises(NonPositiveInput) as raised:
+        route(data["matrix"], data["row_targets"], data["col_targets"])
+    assert type(raised.value) is NonPositiveInput
+    assert str(raised.value) == f"{name} contains NaN or infinite entries"
 
 
 @pytest.mark.parametrize("route", [_float_library, _exact_library], ids=["validate_instance", "RationalInstance"])
